@@ -54,11 +54,9 @@ def _population() -> PopulationSpec:
 
 
 def _platform():
-    # Columnar streaming with a tight provider-log bound: at 10M invocations
-    # unbounded per-function logs would dominate worker memory.
-    return create_platform(
-        Provider.AWS, SimulationConfig(seed=42, columnar=True, log_retention=8)
-    )
+    # A tight provider-log bound: at 10M invocations unbounded per-function
+    # logs would dominate worker memory.
+    return create_platform(Provider.AWS, SimulationConfig(seed=42, log_retention=8))
 
 
 def test_population_replay_1m_functions(benchmark):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import emit_bench_json, run_once
+from conftest import emit_bench_json, generator_loop, run_once
 
 from repro.config import Provider, SimulationConfig, TriggerType
 from repro.faas.invocation import InvocationRequest
@@ -100,7 +100,8 @@ def test_workload_engine_throughput_100k(benchmark, simulation_config):
 def test_workload_columnar_throughput_100k(benchmark):
     """Columnar streaming replay of the 100k trace: >= 3x scalar, >= 90k/s.
 
-    The same trace is first replayed scalar (streaming mode) as the
+    The same trace is first replayed through the generator loop
+    (``WorkloadEngine.stream`` folded into a streaming accumulator) as the
     in-process reference — the speedup ratio is container-noise-robust in a
     way absolute figures are not — and the two streaming aggregates are
     asserted identical before any throughput claim.  The measured figures
@@ -111,21 +112,21 @@ def test_workload_columnar_throughput_100k(benchmark):
 
     from repro.utils.io import atomic_write_json
 
-    def build(columnar: bool):
-        simulation = SimulationConfig(seed=42, columnar=columnar, log_retention=10_000)
+    def build():
+        simulation = SimulationConfig(seed=42, log_retention=10_000)
         platform = create_platform(Provider.AWS, simulation)
         fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
         return platform, fname
 
-    platform_scalar, fname = build(False)
+    platform_scalar, fname = build()
     duration_s = 1.02 * TRACE_INVOCATIONS / ARRIVAL_RATE_PER_S
     trace = WorkloadTrace.synthesize(
         fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=42
     )
     trace = WorkloadTrace(list(trace)[:TRACE_INVOCATIONS])
 
-    scalar = platform_scalar.run_workload(trace, keep_records=False)
-    platform_columnar, _ = build(True)
+    scalar = generator_loop(platform_scalar, trace, keep_records=False)
+    platform_columnar, _ = build()
     result = run_once(benchmark, lambda: platform_columnar.run_workload(trace, keep_records=False))
 
     # Bit-identity of the streaming aggregates (counters, sums, reservoir

@@ -67,3 +67,41 @@ def emit_bench_json(path, payload):
         except (OSError, ValueError):
             previous = None
     atomic_write_json(path, {**payload, "previous": previous})
+
+
+def generator_loop(platform, trace, keep_records: bool = True):
+    """Replay an uncontrolled ``trace`` through the generator loop.
+
+    Folds ``WorkloadEngine.stream`` — the reference the batch replay (the
+    columnar engine) is checked and timed against — into a
+    ``WorkloadResult``.  Uncontrolled records come out in arrival order.
+    """
+    import time
+
+    from repro.workload.engine import (
+        WorkloadEngine,
+        WorkloadResult,
+        _ReplayAccumulator,
+        streaming_result,
+    )
+
+    engine = WorkloadEngine(platform)
+    start = time.perf_counter()
+    if not keep_records:
+        accumulator = _ReplayAccumulator()
+        for record in engine.stream(trace):
+            accumulator.add(record)
+        return streaming_result(
+            platform.provider,
+            accumulator,
+            wall_clock_s=time.perf_counter() - start,
+            peak_in_flight=engine.last_peak_in_flight,
+        )
+    records = list(engine.stream(trace))
+    return WorkloadResult(
+        provider=platform.provider,
+        records=records,
+        simulated_span_s=max(r.finished_at for r in records) - records[0].submitted_at,
+        wall_clock_s=time.perf_counter() - start,
+        peak_in_flight=engine.last_peak_in_flight,
+    )

@@ -26,9 +26,10 @@ Four checks:
   retried, with the merged result bit-identical to serial replay, inside
   a 60 s budget;
 * a columnar-equivalence gate (:mod:`repro.columnar`): the 10k trace
-  replayed through the vectorized hot path must produce record lists and
-  streaming aggregates bit-identical to the scalar engine — serially and
-  sharded — while streaming clearly faster than scalar.
+  replayed through the batch entry point (the vectorized hot path) must
+  produce record lists and streaming aggregates bit-identical to the
+  generator loop (``WorkloadEngine.stream``) — serially and sharded —
+  while streaming clearly faster than it.
 
 The thresholds are deliberately loose — the point is to catch order-of-
 magnitude breakage, not to flake on slow CI runners.  The measured
@@ -400,23 +401,24 @@ def _smoke_chaos_recovery(workers: int) -> list[str]:
     return failures
 
 
-#: Columnar smoke: the 10k flat trace replayed scalar and columnar — the
-#: record lists (frozen dataclasses, so ``==`` is bit equality including
-#: cost breakdowns and timestamps) and the streaming aggregates must agree
+#: Columnar smoke: the 10k flat trace replayed through the generator loop
+#: ("scalar") and the batch entry point ("columnar") — the record lists
+#: (frozen dataclasses, so ``==`` is bit equality including cost
+#: breakdowns and timestamps) and the streaming aggregates must agree
 #: exactly, serially and under sharding, and the columnar streaming replay
 #: must hold a clear throughput advantage.
 COLUMNAR_BUDGET_S = 30.0
 COLUMNAR_MIN_SPEEDUP = 1.5
 
 
-def _columnar_fixture(columnar: bool):
-    platform = create_platform(Provider.AWS, SimulationConfig(seed=42, columnar=columnar))
+def _columnar_fixture():
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=42))
     fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
     return platform, fname
 
 
 def _smoke_columnar(workers: int) -> list[str]:
-    platform, fname = _columnar_fixture(False)
+    platform, fname = _columnar_fixture()
     duration_s = 1.05 * SMOKE_INVOCATIONS / ARRIVAL_RATE_PER_S
     trace = WorkloadTrace.synthesize(
         fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=42
@@ -425,10 +427,12 @@ def _smoke_columnar(workers: int) -> list[str]:
         return [f"synthesized only {len(trace)} requests"]
     trace = WorkloadTrace(list(trace)[:SMOKE_INVOCATIONS])
 
-    scalar = platform.run_workload(trace)
-    scalar_stream = _columnar_fixture(False)[0].run_workload(trace, keep_records=False)
-    columnar = _columnar_fixture(True)[0].run_workload(trace)
-    columnar_stream = _columnar_fixture(True)[0].run_workload(trace, keep_records=False)
+    from conftest import generator_loop
+
+    scalar = generator_loop(platform, trace)
+    scalar_stream = generator_loop(_columnar_fixture()[0], trace, keep_records=False)
+    columnar = _columnar_fixture()[0].run_workload(trace)
+    columnar_stream = _columnar_fixture()[0].run_workload(trace, keep_records=False)
     METRICS["columnar_throughput_per_s"] = round(columnar_stream.throughput_per_s, 1)
     speedup = (
         columnar_stream.throughput_per_s / scalar_stream.throughput_per_s
@@ -471,7 +475,7 @@ def _smoke_columnar(workers: int) -> list[str]:
             or columnar_summary.client_time.percentiles != scalar_summary.client_time.percentiles
         ):
             failures.append(f"columnar summary of {fname_!r} diverged from scalar")
-    sharded = _columnar_fixture(True)[0].run_workload(trace, workers=workers)
+    sharded = _columnar_fixture()[0].run_workload(trace, workers=workers)
     if sharded.records != scalar.records:
         failures.append(
             f"sharded columnar records (x{workers}) are not bit-identical to serial scalar"

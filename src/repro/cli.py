@@ -67,14 +67,6 @@ def _replay_args(parser: argparse.ArgumentParser, unit: str) -> None:
         "(default: unlimited; long replays should set a bound)",
     )
     parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="vectorized columnar replay hot path: per-function random "
-        "draws are pre-drawn in blocks and records stored as parallel "
-        "arrays — bit-identical results, several times faster on large "
-        "fast-path replays",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -409,11 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report the top K tenants by spend (default: 10)",
     )
     population.add_argument(
-        "--columnar",
-        action="store_true",
-        help="vectorized columnar replay hot path (bit-identical, faster)",
-    )
-    population.add_argument(
         "--log-retention",
         type=int,
         default=None,
@@ -713,7 +700,6 @@ def _run(args: argparse.Namespace) -> int:
         simulation = SimulationConfig(
             seed=args.seed,
             log_retention=args.log_retention,
-            columnar=args.columnar,
             overload=_overload_config(args),
             faults=_fault_config(args),
             resilience=_resilience_config(args),
@@ -770,7 +756,6 @@ def _run(args: argparse.Namespace) -> int:
         simulation = SimulationConfig(
             seed=args.seed,
             log_retention=args.log_retention,
-            columnar=args.columnar,
             overload=_overload_config(args),
             faults=_fault_config(args),
             resilience=_resilience_config(args),
@@ -825,9 +810,7 @@ def _run(args: argparse.Namespace) -> int:
         from .population import PopulationSpec, TraceIngest, replay_population
         from .simulator.providers import create_platform
 
-        simulation = SimulationConfig(
-            seed=args.seed, columnar=args.columnar, log_retention=args.log_retention
-        )
+        simulation = SimulationConfig(seed=args.seed, log_retention=args.log_retention)
         if args.ingest:
             population = TraceIngest.load(args.ingest, limit=args.ingest_limit)
         else:

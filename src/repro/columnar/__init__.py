@@ -1,19 +1,20 @@
 """Vectorized columnar replay hot path.
 
-Opt-in via :attr:`repro.config.SimulationConfig.columnar` (CLI:
-``--columnar``).  Three cooperating pieces:
+Every batch replay it can run goes through it —
+:meth:`repro.workload.engine.WorkloadEngine.replay` decides.  Three
+cooperating pieces:
 
 * :mod:`repro.columnar.draws` — pre-drawn random blocks wrapping the
   blockable per-function streams (gateway, network, reliability,
   spurious), installed at runtime-state creation;
 * :mod:`repro.columnar.records` — struct-of-arrays invocation storage
   with lazy record materialisation;
-* :mod:`repro.columnar.engine` — the flat replay loop (imported lazily by
-  :meth:`repro.workload.engine.WorkloadEngine.run` so scalar replays
-  never pay for it).
+* :mod:`repro.columnar.engine` — the flat replay loop.
 
-Every result is bit-identical to the scalar path; the differential tier
-(``tests/test_columnar_equivalence.py``) and the golden fixtures prove it.
+Every result is bit-identical to the generator loop
+(:meth:`~repro.workload.engine.WorkloadEngine.stream`); the differential
+tier (``tests/test_columnar_equivalence.py``) and the golden fixtures
+prove it.
 """
 
 from .draws import BLOCK, ExponentialBlock, LognormalBlock, UniformBlock, install_draw_blocks

@@ -3,8 +3,10 @@
 One flat loop replaces the scalar call stack
 (``WorkloadEngine._stream_fast`` → ``_simulate_invocation`` →
 ``_simulate_reserved_invocation`` → compute / reliability / billing /
-network models) for fast-path replays: no overload admission, no fault
-plane, no client resilience, no kernel execution.  Everything a record
+network models) for every batch replay
+:meth:`~repro.workload.engine.WorkloadEngine.replay` can hand it: no
+overload admission, no fault plane, no client resilience, no kernel
+execution.  Everything a record
 shares with its function — CPU share, jitter parameters, storage transfer
 bases, billing constants, reliability thresholds — is precomputed once per
 function into a :class:`_Lane`; per invocation only the data-dependent
@@ -53,7 +55,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
 from typing import Callable, Iterable
 
 import numpy as np
@@ -70,10 +71,7 @@ from ..workload.engine import (
     _PRUNE_INTERVAL,
     _FunctionAccumulator,
     _ReplayAccumulator,
-    WorkloadResult,
-    streaming_result,
 )
-from ..workload.trace import MergedWorkloadTrace, WorkloadTrace
 from .records import ColumnarRecordBlock, LaneMeta
 
 _HTTP = TriggerType.HTTP
@@ -512,7 +510,8 @@ def _replay(
     try:
         for request in requests:
             submitted = request.submitted_at
-            if submitted < last_submitted:
+            # Negated so a NaN timestamp fails the check too.
+            if not submitted >= last_submitted:
                 raise ConfigurationError(
                     "workload requests must be sorted by submission time "
                     f"({submitted:.6f} after {last_submitted:.6f})"
@@ -790,7 +789,7 @@ def _replay(
 
             # ---- completion bookkeeping ----------------------------------
             finished_at = now + client_time_s
-            # Inlined ContainerPool.finish_serve (serve + touch).  The
+            # Inlined Container.serve + ContainerPool.touch.  The
             # EVICTED guard is provably dead here: the policy ran before
             # this container was picked or created in this very iteration.
             container.invocations += 1
@@ -947,60 +946,3 @@ def replay_fold(engine, requests, accumulator: _ReplayAccumulator, positions=Non
 def replay_emit(engine, requests, emit: Callable, positions=None) -> None:
     """Observer mode: build records inline, hand each to ``emit``."""
     _replay(engine, requests, positions, None, None, emit)
-
-
-def run_columnar(engine, trace, keep_records: bool, observer) -> WorkloadResult:
-    """Columnar equivalent of ``WorkloadEngine.run`` for fast-path replays."""
-    platform = engine.platform
-    if isinstance(trace, (WorkloadTrace, MergedWorkloadTrace)):
-        for fname in trace.functions():
-            platform.get_function(fname)
-    wall_start = time.perf_counter()
-    if keep_records:
-        if observer is None:
-            block = replay_collect(engine, trace)
-            records = block.materialize()
-            bounds = block.span_bounds()
-            span = bounds[1] - bounds[0] if bounds is not None else 0.0
-        else:
-            records = []
-            dispatch = observer.on_invocation
-            append = records.append
-
-            def emit(record):
-                dispatch(record)
-                append(record)
-
-            replay_emit(engine, trace, emit)
-            span = 0.0
-            if records:
-                span = max(r.finished_at for r in records) - min(
-                    r.submitted_at for r in records
-                )
-        wall_clock_s = time.perf_counter() - wall_start
-        return WorkloadResult(
-            provider=platform.provider,
-            records=records,
-            simulated_span_s=span,
-            wall_clock_s=wall_clock_s,
-            peak_in_flight=engine.last_peak_in_flight,
-        )
-    accumulator = _ReplayAccumulator()
-    if observer is None:
-        replay_fold(engine, trace, accumulator)
-    else:
-        dispatch = observer.on_invocation
-        fold = accumulator.add
-
-        def emit(record):
-            dispatch(record)
-            fold(record)
-
-        replay_emit(engine, trace, emit)
-    wall_clock_s = time.perf_counter() - wall_start
-    return streaming_result(
-        platform.provider,
-        accumulator,
-        wall_clock_s=wall_clock_s,
-        peak_in_flight=engine.last_peak_in_flight,
-    )

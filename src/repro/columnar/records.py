@@ -24,12 +24,10 @@ merge (:mod:`repro.parallel`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..config import InvocationOutcome, Provider, StartType
 from ..faas.billing import CostBreakdown
 from ..faas.invocation import InvocationRecord
-from ..observe.events import InvocationSpan
 
 #: Outcome / start-type constants hoisted for the materialisation loop.
 _COMPLETED = InvocationOutcome.COMPLETED
@@ -189,45 +187,3 @@ class ColumnarRecordBlock:
     def indexed_records(self) -> list[tuple[int, InvocationRecord]]:
         """(request_index, record) pairs — the sharded-merge exchange shape."""
         return list(zip(self.request_index, self.materialize()))
-
-    def spans(self) -> Iterator[InvocationSpan]:
-        """Invocation spans straight from the arrays (no record objects).
-
-        Segment arithmetic mirrors :func:`repro.observe.events.invocation_span`
-        for fast-path records (always executed, zero queue wait).
-        """
-        lanes = self.lanes
-        for i in range(len(self.lane)):
-            meta = lanes[self.lane[i]]
-            provider_time_s = self.provider_time_s[i]
-            cold_init_s = self.cold_init_s[i]
-            network_s = self.client_time_s[i] - provider_time_s - cold_init_s - 0.0
-            if network_s < 0.0:
-                network_s = 0.0
-            submitted_at = self.submitted_at[i]
-            yield InvocationSpan(
-                meta.function_name,
-                self.request_index[i],
-                (_COMPLETED if self.success[i] else _FAILED).value,
-                self.success[i],
-                (_COLD if self.cold[i] else _WARM).value,
-                self.container_id[i],
-                submitted_at,
-                submitted_at + self.invocation_overhead_s[i],
-                self.finished_at[i],
-                0.0,
-                cold_init_s,
-                provider_time_s,
-                network_s,
-                1,
-            )
-
-    def span_bounds(self) -> tuple[float, float] | None:
-        """(min submitted_at, max finished_at) or ``None`` when empty.
-
-        ``submitted_at`` is monotone by the engine's sort contract, so the
-        minimum is the first element; ``finished_at`` is not, so it scans.
-        """
-        if not self.submitted_at:
-            return None
-        return self.submitted_at[0], max(self.finished_at)

@@ -226,15 +226,6 @@ class SimulationConfig:
         hedged requests, fault retries and staleness deadlines for
         synchronous invocations.  ``None`` (the default) models a plain
         client.
-    columnar:
-        Opt into the vectorized columnar replay hot path
-        (:mod:`repro.columnar`; default ``False``): per-function random
-        draws are pre-drawn in blocks, invocation records are held as
-        parallel arrays and materialised lazily, and streaming statistics
-        fold in batches.  Results are bit-identical to the scalar path
-        (proven by the differential tier in
-        ``tests/test_columnar_equivalence.py``); the flag only trades
-        memory layout for throughput.
     """
 
     seed: int = 42
@@ -244,7 +235,6 @@ class SimulationConfig:
     overload: "OverloadConfig | None" = None
     faults: "FaultPlaneConfig | None" = None
     resilience: "ResilienceConfig | None" = None
-    columnar: bool = False
     network_rtt_ms: Mapping[Provider, float] = field(
         default_factory=lambda: {
             Provider.AWS: 109.0,

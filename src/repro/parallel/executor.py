@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 from ..exceptions import CheckpointError, ConfigurationError
 from ..faas.invocation import InvocationRequest
 from ..utils.rng import RandomStreams
-from ..workload.engine import WorkloadEngine, WorkloadResult, _ReplayAccumulator
+from ..workload.engine import WorkloadEngine, WorkloadResult
 from ..workload.scenario import Scenario
 from ..workload.trace import WorkloadTrace
 from ..workflows.engine import WorkflowEngine, fold_workflow_results
@@ -131,77 +131,33 @@ def _replay_trace_shard(
     if series is not None:
         engine.observer = series
     requests = _shard_requests(shard)
-    # Columnar fast path: ship the parallel arrays (record mode) or fold in
-    # the worker (streaming) instead of materialising record objects.
-    # Time-series shards and controlled replays fall through to the scalar
-    # loop — the draw blocks installed on the rebuilt platform keep those
-    # bit-identical through the stream shims.
-    columnar_ok = (
-        series is None
-        and getattr(platform, "_columnar", False)
-        and not getattr(platform, "_controlled_replay", False)
-        and not platform.execute_kernels
-    )
-    if keep_records:
-        if not isinstance(shard, TraceShard):
-            raise ConfigurationError("record-mode shards must carry materialised requests")
-        # Thread the *global* stream indices through the replay: each record
-        # reports the index of the request that produced it, which stays
-        # correct even when the overload model resolves requests out of
-        # arrival order (retries, admission queueing).
-        if columnar_ok:
-            from ..columnar.engine import replay_collect
-
-            block = replay_collect(
-                engine, requests, positions=(index for index, _ in shard.requests)
-            )
-            return TraceShardOutcome(
-                shard_index=shard.index,
-                records=None,
-                accumulator=None,
-                peak_in_flight=engine.last_peak_in_flight,
-                timeseries=None,
-                columnar=block,
-            )
-        records = []
-        for record in engine.stream(requests, positions=(index for index, _ in shard.requests)):
-            if series is not None:
-                series.observe_record(record)
-            records.append(record)
-        indexed = [(record.request_index, record) for record in records]
-        return TraceShardOutcome(
-            shard_index=shard.index,
-            records=indexed,
-            accumulator=None,
-            peak_in_flight=engine.last_peak_in_flight,
-            timeseries=series,
-        )
-    accumulator = _ReplayAccumulator()
+    if keep_records and not isinstance(shard, TraceShard):
+        raise ConfigurationError("record-mode shards must carry materialised requests")
+    # Thread the *global* stream indices through the replay: each record
+    # reports the index of the request that produced it, which stays
+    # correct even when the overload model resolves requests out of
+    # arrival order (retries, admission queueing).
     positions = (
         (index for index, _ in shard.requests) if isinstance(shard, TraceShard) else None
     )
-    if columnar_ok:
-        from ..columnar.engine import replay_fold
-
-        replay_fold(engine, requests, accumulator, positions=positions)
-        return TraceShardOutcome(
-            shard_index=shard.index,
-            records=None,
-            accumulator=accumulator,
-            peak_in_flight=engine.last_peak_in_flight,
-            timeseries=None,
-        )
-    for record in engine.stream(requests, positions=positions):
-        if series is not None:
-            series.observe_record(record)
-        accumulator.add(record)
-    return TraceShardOutcome(
+    emit = series.observe_record if series is not None else None
+    sink = engine.replay(requests, keep_records, positions=positions, emit=emit)
+    outcome = TraceShardOutcome(
         shard_index=shard.index,
         records=None,
-        accumulator=accumulator,
+        accumulator=None,
         peak_in_flight=engine.last_peak_in_flight,
         timeseries=series,
     )
+    if not keep_records:
+        outcome.accumulator = sink
+    elif isinstance(sink, list):
+        outcome.records = [(record.request_index, record) for record in sink]
+    else:
+        # Columnar record shards ship the parallel arrays, not record
+        # objects; the parent materialises after the merge.
+        outcome.columnar = sink
+    return outcome
 
 
 def _replay_workflow_shard(

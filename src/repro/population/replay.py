@@ -233,28 +233,16 @@ def _replay_population_shard(
     # and the name-keyed stream derivation guarantees their absence changes
     # nothing another member draws.
     deploy_population(platform, population, active, shard.seed)
-    engine = WorkloadEngine(platform)
-    accumulator = _ReplayAccumulator()
     if not active:
         return TraceShardOutcome(
             shard_index=shard.index,
             records=None,
-            accumulator=accumulator,
+            accumulator=_ReplayAccumulator(),
             peak_in_flight=0,
         )
+    engine = WorkloadEngine(platform)
     requests = _shard_request_stream(population, shard.seed, active, arrivals)
-    columnar_ok = (
-        getattr(platform, "_columnar", False)
-        and not getattr(platform, "_controlled_replay", False)
-        and not platform.execute_kernels
-    )
-    if columnar_ok:
-        from ..columnar.engine import replay_fold
-
-        replay_fold(engine, requests, accumulator)
-    else:
-        for record in engine.stream(requests):
-            accumulator.add(record)
+    accumulator = engine.replay(requests, keep_records=False)
     return TraceShardOutcome(
         shard_index=shard.index,
         records=None,

@@ -183,26 +183,6 @@ class ContainerPool:
         """Count one more in-flight execution on ``container_id``."""
         self._in_use[container_id] = self._in_use.get(container_id, 0) + 1
 
-    def finish_serve(self, container: Container, timestamp: float) -> None:
-        """Fused :meth:`Container.serve` + :meth:`touch` (columnar hot loop).
-
-        One call instead of two on the per-invocation completion path; the
-        state transitions are op-for-op those of ``serve`` followed by
-        ``touch``, so pool bookkeeping stays bit-identical to the scalar
-        engine's two-call sequence.
-        """
-        if container.state is ContainerState.EVICTED:
-            raise PlatformError("cannot invoke an evicted container")
-        container.invocations += 1
-        if timestamp > container.last_used_at:
-            container.last_used_at = timestamp
-        container.state = ContainerState.WARM
-        cid = container.container_id
-        if self._in_use.get(cid, 0) < self.slot_capacity:
-            self._push(container)
-        else:
-            self._entry_lua.pop(cid, None)
-
     def release(self, container_id: str) -> None:
         """Drop one in-flight execution; re-offer the sandbox if it frees up."""
         remaining = self._in_use.get(container_id, 0) - 1

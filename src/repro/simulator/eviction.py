@@ -19,10 +19,10 @@ scan.  New sandboxes are discovered through the pool's append-only
 :attr:`~repro.simulator.containers.ContainerPool.creation_log`, so ingestion
 is O(new containers), not O(pool).
 
-The scan-based semantics remain available as :meth:`EvictionPolicy.apply_full`
-(and the side-effect-free :meth:`select_evictions` query); the scheduler
-equivalence suite replays identical traces through both paths and asserts
-bit-identical outcomes.
+The scan-based reference semantics (select every victim by scanning the
+warm pool on each request) live in ``tests/test_scheduler_equivalence.py``,
+which replays identical traces through both and asserts bit-identical
+outcomes.
 """
 
 from __future__ import annotations
@@ -46,26 +46,8 @@ class EvictionPolicy(abc.ABC):
     """Decides which warm containers a provider has evicted by ``now``."""
 
     @abc.abstractmethod
-    def select_evictions(self, pool: ContainerPool, now: float) -> list[Container]:
-        """Return the containers that should be evicted at time ``now``."""
-
-    def apply_full(self, pool: ContainerPool, now: float) -> int:
-        """Scan-based application: evict everything ``select_evictions`` names.
-
-        This is the reference semantics; subclasses with an incremental
-        ``apply`` must produce identical evictions at identical times.
-        """
-        victims = self.select_evictions(pool, now)
-        pool.evict(victims)
-        self._note_evicted(pool, victims)
-        return len(victims)
-
-    def _note_evicted(self, pool: ContainerPool, victims: list[Container]) -> None:
-        """Hook for policies that keep a ledger of their own evictions."""
-
     def apply(self, pool: ContainerPool, now: float) -> int:
-        """Evict the selected containers; return how many were evicted."""
-        return self.apply_full(pool, now)
+        """Evict the containers that are gone by ``now``; return how many."""
 
 
 @dataclass
@@ -114,40 +96,6 @@ class HalfLifeEvictionPolicy(EvictionPolicy):
             weakref.WeakKeyDictionary()
         )
 
-    def _periods_elapsed(self, container: Container, now: float) -> int:
-        return int((now - container.created_at) // self.period_s)
-
-    def select_evictions(self, pool: ContainerPool, now: float) -> list[Container]:
-        warm = pool.warm_containers()
-        if not warm:
-            return []
-        # Group containers by the batch they were created in (same period of
-        # creation time); within each batch, the survivors after p periods are
-        # the first floor(initial_batch_size / 2**p) by creation order.
-        victims: list[Container] = []
-        batches: dict[int, list[Container]] = {}
-        for container in warm:
-            batch_key = int(container.created_at // self.period_s)
-            batches.setdefault(batch_key, []).append(container)
-        for batch_key, batch in batches.items():
-            batch.sort(key=lambda c: (c.created_at, c.container_id))
-            already_evicted = self._evicted_counts.get((pool.function_name, batch_key), 0)
-            initial = len(batch) + already_evicted
-            periods = self._periods_elapsed(batch[0], now)
-            if periods <= 0:
-                continue
-            survivors = initial >> periods  # floor(initial / 2**periods)
-            # Victims this policy evicted before were the latest-created, so
-            # the still-warm batch occupies the earliest positions of the
-            # full population and can be sliced directly.
-            victims.extend(batch[survivors:])
-        return victims
-
-    def _note_evicted(self, pool: ContainerPool, victims: list[Container]) -> None:
-        for container in victims:
-            key = (pool.function_name, int(container.created_at // self.period_s))
-            self._evicted_counts[key] = self._evicted_counts.get(key, 0) + 1
-
     def _schedule(self, tracker: _HalfLifeTracker, batch_key: int, deadline: float) -> None:
         tracker.scheduled[batch_key] = deadline
         heapq.heappush(tracker.heap, (deadline, batch_key))
@@ -186,8 +134,8 @@ class HalfLifeEvictionPolicy(EvictionPolicy):
             members.sort(key=lambda c: (c.created_at, c.container_id))
             key = (pool.function_name, batch_key)
             already_evicted = self._evicted_counts.get(key, 0)
-            # As in select_evictions, the period count is anchored at the
-            # earliest *currently warm* member: if the whole batch vanished
+            # The period count is anchored at the earliest *currently warm*
+            # member: if the whole batch vanished
             # (update_function) and was repopulated, the half-life restarts.
             periods = int((now - members[0].created_at) // self.period_s)
             if periods <= 0:
@@ -282,13 +230,6 @@ class IdleTimeoutEvictionPolicy(EvictionPolicy):
                 factor = 1.0
             self._timeouts[container.container_id] = self.mean_idle_timeout_s * factor
         return self._timeouts[container.container_id]
-
-    def select_evictions(self, pool: ContainerPool, now: float) -> list[Container]:
-        victims = []
-        for container in pool.warm_containers():
-            if container.idle_time(now) > self._timeout_for(pool, container):
-                victims.append(container)
-        return victims
 
     def _ingest(self, pool: ContainerPool, tracker: _IdleTracker) -> None:
         log = pool.creation_log

@@ -28,8 +28,8 @@ from .profiles import IAAS_S3_STORAGE_PROFILE
 class _NeverEvict(EvictionPolicy):
     """The VM never evicts its worker process."""
 
-    def select_evictions(self, pool, now):  # type: ignore[override]
-        return []
+    def apply(self, pool, now):  # type: ignore[override]
+        return 0
 
 
 class IaaSPlatform(SimulatedPlatform):

@@ -220,13 +220,6 @@ class SimulatedPlatform(FaaSPlatform):
             or self._faults is not None
             or self._resilience is not None
         )
-        #: Columnar hot path (:mod:`repro.columnar`): blockable per-function
-        #: streams are wrapped in pre-drawn blocks at state creation, and
-        #: trace replay dispatches to the vectorized engine.  Bit-identical
-        #: to the scalar path by construction (and by the differential test
-        #: tier); hoisted here so the replay dispatch is one attribute load.
-        self._columnar = bool(self.simulation.columnar)
-
         from ..storage.object_store import ObjectStore
 
         #: Persistent storage attached to this deployment (S3 / Blob / GCS).
@@ -306,12 +299,11 @@ class SimulatedPlatform(FaaSPlatform):
             language=language,
             history=deque(maxlen=retention),
         )
-        if self._columnar:
-            # Wrap the single-distribution streams in pre-drawn blocks once,
-            # for the state's lifetime: every consumer (columnar loop,
-            # controlled replay, direct invoke) then reads the same buffered
-            # sequence, and no draw is ever lost at a replay boundary.
-            install_draw_blocks(state, self)
+        # Wrap the single-distribution streams in pre-drawn blocks once, for
+        # the state's lifetime: every consumer (columnar loop, generator
+        # loop, direct invoke) then reads the same buffered sequence, and no
+        # draw is ever lost at a replay boundary.
+        install_draw_blocks(state, self)
         return state
 
     def _runtime_state(self, fname: str) -> _FunctionRuntimeState:

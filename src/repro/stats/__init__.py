@@ -16,8 +16,6 @@ from .regression import LinearFit, fit_linear
 from .sampling import required_samples_for_ci
 from .streaming import (
     MergeableReservoir,
-    P2Quantile,
-    ReservoirSample,
     StreamingMoments,
     StreamingSummary,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "fit_linear",
     "required_samples_for_ci",
     "MergeableReservoir",
-    "P2Quantile",
-    "ReservoirSample",
     "StreamingMoments",
     "StreamingSummary",
     "DistributionSummary",

@@ -7,11 +7,6 @@ the O(1)-per-sample building blocks:
 
 * :class:`StreamingMoments` — Welford's online algorithm for count, mean,
   variance, min and max (numerically stable single pass);
-* :class:`P2Quantile` — the P² algorithm of Jain & Chlamtac (CACM 1985),
-  which tracks one quantile with five markers and parabolic interpolation,
-  no samples stored;
-* :class:`ReservoirSample` — Vitter's algorithm R, a fixed-size uniform
-  sample of the stream for diagnostics that genuinely need raw values;
 * :class:`MergeableReservoir` — a *bottom-k tagged* uniform sample: every
   observation receives a deterministic pseudo-random priority tag and the
   reservoir keeps the ``k`` smallest tags, so the union of two reservoirs
@@ -30,11 +25,9 @@ simulation's random streams.
 **Mergeability** (sharded parallel replay, :mod:`repro.parallel`): moments
 merge with the Chan et al. parallel-variance update — ``count`` / ``min`` /
 ``max`` combine exactly and associatively, ``mean`` / ``variance`` up to
-float associativity.  P² markers cannot be merged (the class is kept for
-single-stream use), which is why :class:`StreamingSummary` answers
-percentiles from a :class:`MergeableReservoir` instead: reservoir union is
-exact, associative and commutative, so merged summaries are deterministic
-under any merge order.
+float associativity.  :class:`StreamingSummary` answers percentiles from a
+:class:`MergeableReservoir`: reservoir union is exact, associative and
+commutative, so merged summaries are deterministic under any merge order.
 """
 
 from __future__ import annotations
@@ -141,121 +134,6 @@ class StreamingMoments:
             self.minimum = other.minimum
         if other.maximum > self.maximum:
             self.maximum = other.maximum
-
-
-class P2Quantile:
-    """One streaming quantile via the P² algorithm (Jain & Chlamtac 1985).
-
-    Five markers track the minimum, the target quantile, the two
-    mid-quantiles and the maximum; marker heights move by parabolic (or, at
-    the boundary, linear) interpolation as observations arrive.  Memory is
-    constant and the estimate converges to the true quantile for stationary
-    streams.  Until five observations have arrived the exact small-sample
-    quantile is returned.
-    """
-
-    __slots__ = ("p", "_initial", "_q", "_n", "_np", "_dn")
-
-    def __init__(self, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError("quantile must lie in [0, 1]")
-        self.p = p
-        self._initial: list[float] = []
-        self._q: list[float] = []
-        self._n: list[int] = []
-        self._np: list[float] = []
-        self._dn: list[float] = []
-
-    @property
-    def count(self) -> int:
-        return self._n[4] if self._q else len(self._initial)
-
-    def add(self, x: float) -> None:
-        if not self._q:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                p = self.p
-                self._q = list(self._initial)
-                self._n = [1, 2, 3, 4, 5]
-                self._np = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-                self._dn = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-            return
-        q, n = self._q, self._n
-        # Locate the cell containing x, extending the extremes if needed.
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            for i in range(1, 4):
-                if x >= q[i]:
-                    k = i
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            self._np[i] += self._dn[i]
-        # Adjust the three interior markers if they drifted off position.
-        for i in (1, 2, 3):
-            d = self._np[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1) or (d <= -1.0 and n[i - 1] - n[i] < -1):
-                sign = 1 if d >= 1.0 else -1
-                candidate = self._parabolic(i, sign)
-                if not (q[i - 1] < candidate < q[i + 1]):
-                    candidate = self._linear(i, sign)
-                q[i] = candidate
-                n[i] += sign
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
-
-    def value(self) -> float:
-        """Current estimate of the tracked quantile."""
-        if self._q:
-            return self._q[2]
-        if not self._initial:
-            raise ConfigurationError("no samples to estimate a quantile from")
-        return float(np.percentile(self._initial, self.p * 100.0))
-
-
-class ReservoirSample:
-    """Fixed-size uniform random sample of a stream (Vitter's algorithm R).
-
-    Uses a private seeded generator so that sampling never perturbs the
-    simulation's named random streams — replays stay bit-identical whether
-    or not a reservoir is attached.
-    """
-
-    def __init__(self, capacity: int, seed: int = 0):
-        if capacity <= 0:
-            raise ConfigurationError("reservoir capacity must be positive")
-        self.capacity = capacity
-        self.seen = 0
-        self._samples: list[float] = []
-        self._rng = np.random.default_rng(seed)
-
-    def add(self, x: float) -> None:
-        self.seen += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(x)
-            return
-        slot = int(self._rng.integers(0, self.seen))
-        if slot < self.capacity:
-            self._samples[slot] = x
-
-    def values(self) -> list[float]:
-        return list(self._samples)
 
 
 class MergeableReservoir:

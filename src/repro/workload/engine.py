@@ -82,7 +82,7 @@ import itertools
 import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..concurrency import AdmissionQueue, QueuedInvocation
 from ..config import InvocationOutcome, Provider, StartType, TriggerType
@@ -815,7 +815,8 @@ class WorkloadEngine:
 
         try:
             for request in requests:
-                if request.submitted_at < last_submitted:
+                # Negated so a NaN timestamp fails the check too.
+                if not request.submitted_at >= last_submitted:
                     raise ConfigurationError(
                         "workload requests must be sorted by submission time "
                         f"({request.submitted_at:.6f} after {last_submitted:.6f})"
@@ -1452,7 +1453,8 @@ class WorkloadEngine:
                 elif pending_request is not None:
                     request = pending_request
                     pending_request = None
-                    if request.submitted_at < last_submitted:
+                    # Negated so a NaN timestamp fails the check too.
+                    if not request.submitted_at >= last_submitted:
                         raise ConfigurationError(
                             "workload requests must be sorted by submission time "
                             f"({request.submitted_at:.6f} after {last_submitted:.6f})"
@@ -1491,6 +1493,53 @@ class WorkloadEngine:
                 if container_id:
                     platform._release_container(done_fname, container_id)
 
+    def replay(
+        self,
+        requests: Iterable[InvocationRequest],
+        keep_records: bool,
+        positions: Iterable[int] | None = None,
+        emit: Callable[[InvocationRecord], None] | None = None,
+    ):
+        """Replay a whole batch of ``requests`` into a fresh sink; return it.
+
+        The one place that picks the replay loop.  The columnar engine
+        (:mod:`repro.columnar.engine`) runs every replay it can — no
+        controlled replay (overload, faults or resilience) and no kernel
+        execution; the generator loop (:meth:`stream`) runs the rest.  Both
+        produce bit-identical outputs.
+
+        The sink is a :class:`_ReplayAccumulator` with
+        ``keep_records=False``.  With ``keep_records=True`` it is a
+        :class:`~repro.columnar.records.ColumnarRecordBlock` when the
+        columnar engine ran without ``emit``, else the record list in
+        stream order.  ``emit`` receives each terminal record in stream
+        order before it reaches the sink; ``positions`` is as for
+        :meth:`stream`.
+        """
+        platform = self.platform
+        sink = [] if keep_records else _ReplayAccumulator()
+        add = sink.append if keep_records else sink.add
+        if emit is not None:
+            sink_add = add
+
+            def add(record: InvocationRecord) -> None:
+                emit(record)
+                sink_add(record)
+
+        if platform._controlled_replay or platform.execute_kernels:
+            for record in self.stream(requests, positions):
+                add(record)
+            return sink
+        from ..columnar import engine as columnar
+
+        if emit is not None:
+            columnar.replay_emit(self, requests, add, positions)
+        elif keep_records:
+            return columnar.replay_collect(self, requests, positions)
+        else:
+            columnar.replay_fold(self, requests, sink, positions)
+        return sink
+
     def run(
         self,
         trace: WorkloadTrace | MergedWorkloadTrace | Iterable[InvocationRequest],
@@ -1514,66 +1563,35 @@ class WorkloadEngine:
         if observer is not None:
             self.observer = observer
         observer = self.observer
-        platform = self.platform
-        if (
-            getattr(platform, "_columnar", False)
-            and not getattr(platform, "_controlled_replay", False)
-            and not platform.execute_kernels
-        ):
-            # Columnar fast path: same draws, same floats, flat loop
-            # (repro.columnar.engine).  Controlled replays (overload/faults/
-            # resilience) and kernel execution fall through to the scalar
-            # loop — the pre-drawn blocks installed on the runtime states
-            # keep those bit-identical too, via the stream shims.
-            from ..columnar.engine import run_columnar
-
-            return run_columnar(self, trace, keep_records, observer)
         if isinstance(trace, (WorkloadTrace, MergedWorkloadTrace)):
             for fname in trace.functions():
                 self.platform.get_function(fname)
         wall_start = time.perf_counter()
-        if keep_records:
-            # Exact mode: materialise the records and aggregate post-hoc —
-            # no per-record estimator work on the hot path.
-            if observer is None:
-                records = list(self.stream(trace))
-            else:
-                records = []
-                dispatch = observer.on_invocation
-                append = records.append
-                for record in self.stream(trace):
-                    dispatch(record)
-                    append(record)
-            if getattr(self.platform, "_controlled_replay", False):
-                # Throttled/queued requests resolve out of arrival order;
-                # restore it so serial and sharded record lists agree (the
-                # sharded merge sorts by the same index).
-                records.sort(key=attrgetter("request_index"))
-            wall_clock_s = time.perf_counter() - wall_start
-            span = 0.0
-            if records:
-                span = max(r.finished_at for r in records) - min(r.submitted_at for r in records)
-            return WorkloadResult(
-                provider=self.platform.provider,
-                records=records,
-                simulated_span_s=span,
-                wall_clock_s=wall_clock_s,
+        emit = observer.on_invocation if observer is not None else None
+        sink = self.replay(trace, keep_records, emit=emit)
+        if not keep_records:
+            return streaming_result(
+                self.platform.provider,
+                sink,
+                wall_clock_s=time.perf_counter() - wall_start,
                 peak_in_flight=self.last_peak_in_flight,
             )
-        accumulator = _ReplayAccumulator()
-        fold = accumulator.add
-        if observer is None:
-            for record in self.stream(trace):
-                fold(record)
+        if isinstance(sink, list):
+            # Throttled/queued requests resolve out of arrival order;
+            # restore it so serial and sharded record lists agree (the
+            # sharded merge sorts by the same index).
+            records = sink
+            records.sort(key=attrgetter("request_index"))
         else:
-            dispatch = observer.on_invocation
-            for record in self.stream(trace):
-                dispatch(record)
-                fold(record)
+            records = sink.materialize()
         wall_clock_s = time.perf_counter() - wall_start
-        return streaming_result(
-            self.platform.provider,
-            accumulator,
+        span = 0.0
+        if records:
+            span = max(r.finished_at for r in records) - min(r.submitted_at for r in records)
+        return WorkloadResult(
+            provider=self.platform.provider,
+            records=records,
+            simulated_span_s=span,
             wall_clock_s=wall_clock_s,
             peak_in_flight=self.last_peak_in_flight,
         )

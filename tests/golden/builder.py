@@ -11,6 +11,7 @@ Two canned traces live next to this file; their exact replay summaries
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from repro.concurrency import OverloadConfig
@@ -28,6 +29,10 @@ from repro.workload import (
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+if str(GOLDEN_DIR.parent) not in sys.path:  # run as a script: make tests/ importable
+    sys.path.insert(0, str(GOLDEN_DIR.parent))
+
+from generator_loop import generator_run  # noqa: E402
 GOLDEN_SEED = 1234
 PROVIDERS = (Provider.AWS, Provider.GCP, Provider.AZURE)
 
@@ -76,7 +81,11 @@ def storm_trace() -> WorkloadTrace:
     )
 
 
-def _storm_platform(provider: Provider, columnar: bool = False):
+def _batch_run(platform, trace, keep_records):
+    return platform.run_workload(trace, keep_records=keep_records)
+
+
+def _storm_platform(provider: Provider):
     ladder = dict(
         retry_policy="no-jitter",
         max_retries=40,
@@ -85,7 +94,6 @@ def _storm_platform(provider: Provider, columnar: bool = False):
     )
     simulation = SimulationConfig(
         seed=GOLDEN_SEED,
-        columnar=columnar,
         overload=OverloadConfig(reserved_concurrency=4, **ladder),
         resilience=ResilienceConfig(stale_after_s=1.5, **ladder),
         faults=FaultPlaneConfig(outages=(OutageWindow(start_s=20.0, duration_s=10.0),)),
@@ -101,18 +109,17 @@ def _storm_platform(provider: Provider, columnar: bool = False):
     return platform
 
 
-def summarize_storm(trace: WorkloadTrace, columnar: bool = False) -> dict:
+def summarize_storm(trace: WorkloadTrace, run=_batch_run) -> dict:
     """Replay the storm trace per provider; exact counters + goodput curve.
 
-    ``columnar=True`` replays through the vectorized hot path (the storm's
-    controlled overload/fault/resilience loop composes with it via the
-    draw-block shims); the document must be byte-identical either way — the
-    golden columnar tests pin it against the *same* expected fixture.
+    ``run(platform, trace, keep_records)`` replays the trace: the batch
+    entry point by default, or ``generator_run`` — the golden generator
+    loop tests pin both against the *same* expected fixture.
     """
     document: dict = {"seed": GOLDEN_SEED, "requests": len(trace), "providers": {}}
     for provider in PROVIDERS:
-        platform = _storm_platform(provider, columnar=columnar)
-        result = platform.run_workload(trace, keep_records=True)
+        platform = _storm_platform(provider)
+        result = run(platform, trace, True)
         buckets = [[0, 0] for _ in range(int(60.0 / STORM_BUCKET_S) + 1)]
         for record in result.records:
             index = min(len(buckets) - 1, int(record.submitted_at / STORM_BUCKET_S))
@@ -163,10 +170,8 @@ def expected_path(name: str) -> Path:
     return GOLDEN_DIR / f"expected_{name}.json"
 
 
-def _deployed_platform(provider: Provider, functions: list[str], columnar: bool = False):
-    platform = create_platform(
-        provider, SimulationConfig(seed=GOLDEN_SEED, columnar=columnar)
-    )
+def _deployed_platform(provider: Provider, functions: list[str]):
+    platform = create_platform(provider, SimulationConfig(seed=GOLDEN_SEED))
     for fname in functions:
         benchmark, memory_mb = DEPLOYMENTS[fname]
         deploy_benchmark(
@@ -178,18 +183,19 @@ def _deployed_platform(provider: Provider, functions: list[str], columnar: bool 
     return platform
 
 
-def summarize_trace(trace: WorkloadTrace, columnar: bool = False) -> dict:
+def summarize_trace(trace: WorkloadTrace, run=_batch_run) -> dict:
     """Replay ``trace`` on every provider and collect the exact summary doc.
 
     Floats are kept at full ``repr`` precision (JSON round-trips them
-    exactly), so the comparison in the golden test is bitwise.
-    ``columnar=True`` takes the vectorized hot path; both modes must
-    produce the identical document (pinned against the same fixture).
+    exactly), so the comparison in the golden test is bitwise.  ``run`` is
+    as for :func:`summarize_storm`; the batch entry point and the generator
+    loop must produce the identical document (pinned against the same
+    fixture).
     """
     document: dict = {"seed": GOLDEN_SEED, "requests": len(trace), "providers": {}}
     for provider in PROVIDERS:
-        platform = _deployed_platform(provider, trace.functions(), columnar=columnar)
-        result = platform.run_workload(trace, keep_records=False)
+        platform = _deployed_platform(provider, trace.functions())
+        result = run(platform, trace, False)
         per_function = {}
         for fname, summary in result.per_function().items():
             distribution = summary.client_time
@@ -232,19 +238,21 @@ def regenerate() -> list[Path]:
         trace = build().materialize()
         trace.to_json(trace_path(name), indent=2)
         expected = summarize_trace(trace)
-        # The columnar hot path pins against the *same* fixture — refuse to
-        # write a golden the vectorized replay cannot reproduce bit-exactly.
-        if summarize_trace(trace, columnar=True) != expected:
+        # The generator loop pins against the *same* fixture — refuse to
+        # write a golden it cannot reproduce bit-exactly.
+        if summarize_trace(trace, run=generator_run) != expected:
             raise AssertionError(
-                f"columnar replay of golden trace {name!r} diverged from scalar"
+                f"generator-loop replay of golden trace {name!r} diverged from batch replay"
             )
         atomic_write_text(expected_path(name), json.dumps(expected, indent=2) + "\n")
         written.extend([trace_path(name), expected_path(name)])
     trace = storm_trace()
     trace.to_json(trace_path(STORM_NAME), indent=2)
     storm_expected = summarize_storm(trace)
-    if summarize_storm(trace, columnar=True) != storm_expected:
-        raise AssertionError("columnar replay of the golden storm diverged from scalar")
+    if summarize_storm(trace, run=generator_run) != storm_expected:
+        raise AssertionError(
+            "generator-loop replay of the golden storm diverged from batch replay"
+        )
     atomic_write_text(
         expected_path(STORM_NAME), json.dumps(storm_expected, indent=2) + "\n"
     )

@@ -1,11 +1,13 @@
-"""Columnar replay must equal scalar replay — bit for bit.
+"""Batch replay must equal the generator loop — bit for bit.
 
 The differential tier behind the columnar hot path (see
-``docs/architecture.md``, "Columnar hot path"): every scenario is replayed
-twice on identically-seeded platforms — once scalar
-(``SimulationConfig(columnar=False)``), once columnar — and every
-observable output is compared with ``==`` (which for floats is bit
-equality, no tolerances):
+``docs/performance.md``, "Columnar hot path"): every scenario is replayed
+twice on identically-seeded platforms — once through the batch entry point
+(``WorkloadEngine.run``, which runs the columnar engine whenever
+``WorkloadEngine.replay`` allows), once through the generator loop
+(``WorkloadEngine.stream`` folded by ``generator_loop.generator_run``) —
+and every observable output is compared with ``==`` (which for floats is
+bit equality, no tolerances):
 
 * the full record list, field for field, including cost breakdowns,
   container ids, submission/start/finish timestamps and request indices;
@@ -13,7 +15,8 @@ equality, no tolerances):
 * provider logs, final clock, peak in-flight, simulated span;
 * observer event streams (container create/evict, per-record hooks);
 * sharded replay (``workers=2``) on both backends, where record-mode
-  shards ship columnar blocks across the process boundary.
+  shards ship columnar blocks across the process boundary, with and
+  without a simulated-time series.
 
 Scenarios are hypothesis-generated over providers × arrival patterns ×
 trigger types × the overload/fault/resilience stack, plus explicit pinned
@@ -45,6 +48,8 @@ from repro.workload import (
     WorkloadTrace,
 )
 from repro.workload.engine import WorkloadEngine
+
+from generator_loop import generator_run
 
 PROVIDERS = (Provider.AWS, Provider.GCP, Provider.AZURE)
 
@@ -125,8 +130,8 @@ def _logs_key(platform, fnames):
     return out
 
 
-def _build_platform(provider, columnar, seed, **simkw):
-    simulation = SimulationConfig(seed=seed, columnar=columnar, **simkw)
+def _build_platform(provider, seed, **simkw):
+    simulation = SimulationConfig(seed=seed, **simkw)
     platform = create_platform(provider, simulation=simulation)
     memory = DYNAMIC_MEMORY if provider is Provider.AZURE else 512
     f1 = deploy_benchmark(platform, "dynamic-html", memory_mb=memory, function_name="fn-a")
@@ -143,13 +148,18 @@ def _trace(fnames, process_a, process_b, duration_s, trigger_b):
 
 
 def _replay_both(provider, trace_of, keep_records, seed=2026, observer_factory=None, **simkw):
-    """Replay one scenario scalar and columnar; return both outputs."""
+    """Replay one scenario through the generator loop and the batch entry
+    point; return both outputs (reference first)."""
     outputs = []
-    for columnar in (False, True):
-        platform, fnames = _build_platform(provider, columnar, seed, **simkw)
-        engine = WorkloadEngine(platform)
+    for batch in (False, True):
+        platform, fnames = _build_platform(provider, seed, **simkw)
         observer = observer_factory() if observer_factory is not None else None
-        result = engine.run(trace_of(fnames), keep_records=keep_records, observer=observer)
+        if batch:
+            result = WorkloadEngine(platform).run(
+                trace_of(fnames), keep_records=keep_records, observer=observer
+            )
+        else:
+            result = generator_run(platform, trace_of(fnames), keep_records, observer)
         outputs.append((result, platform, fnames, observer))
     return outputs
 
@@ -260,13 +270,16 @@ class TestPinnedProviders:
     @pytest.mark.parametrize("use_cloud_storage", (False, True))
     def test_iaas(self, use_cloud_storage):
         outputs = []
-        for columnar in (False, True):
-            simulation = SimulationConfig(seed=2026, columnar=columnar)
+        for batch in (False, True):
+            simulation = SimulationConfig(seed=2026)
             platform = IaaSPlatform(simulation=simulation, use_cloud_storage=use_cloud_storage)
             f1 = deploy_benchmark(platform, "dynamic-html", memory_mb=1024, function_name="fn-a")
             f2 = deploy_benchmark(platform, "thumbnailer", memory_mb=1024, function_name="fn-b")
-            engine = WorkloadEngine(platform)
-            result = engine.run(_mixed_trace((f1, f2)), keep_records=True)
+            trace = _mixed_trace((f1, f2))
+            if batch:
+                result = WorkloadEngine(platform).run(trace, keep_records=True)
+            else:
+                result = generator_run(platform, trace, keep_records=True)
             outputs.append((result, platform, (f1, f2), None))
         _assert_identical(outputs, True)
 
@@ -300,16 +313,15 @@ class TestObserverStream:
 
 
 class TestSharded:
-    """workers=2: columnar shards ship blocks; merged output equals serial scalar."""
+    """workers=2: columnar shards ship blocks; merged output equals the
+    serial generator loop."""
 
     @pytest.mark.parametrize("backend", ("sequential", "process"))
     @pytest.mark.parametrize("keep_records", (True, False))
     def test_sharded_columnar_equals_serial_scalar(self, backend, keep_records):
-        serial_platform, fnames = _build_platform(Provider.AWS, False, 2026)
-        serial = WorkloadEngine(serial_platform).run(
-            _mixed_trace(fnames), keep_records=keep_records
-        )
-        platform, fnames = _build_platform(Provider.AWS, True, 2026)
+        serial_platform, fnames = _build_platform(Provider.AWS, 2026)
+        serial = generator_run(serial_platform, _mixed_trace(fnames), keep_records)
+        platform, fnames = _build_platform(Provider.AWS, 2026)
         sharded = run_workload_sharded(
             platform,
             _mixed_trace(fnames),
@@ -324,20 +336,64 @@ class TestSharded:
         else:
             assert _stream_key(sharded) == _stream_key(serial)
 
-    def test_sharded_timeseries_falls_back_scalar_identical(self):
-        results = []
-        for columnar in (False, True):
-            platform, fnames = _build_platform(Provider.AWS, columnar, 2026)
-            result = run_workload_sharded(
-                platform,
-                _mixed_trace(fnames),
-                workers=2,
-                keep_records=False,
-                timeseries=5.0,
-            )
-            results.append(result)
-        scalar, columnar = results
-        assert _stream_key(scalar) == _stream_key(columnar)
-        assert json.dumps(scalar.timeseries.to_dict(), sort_keys=True) == json.dumps(
-            columnar.timeseries.to_dict(), sort_keys=True
+    def test_sharded_timeseries_matches_serial_generator_loop(self):
+        """Time-series shards run the columnar emit hook; the merged series
+        equals one built by the serial generator loop."""
+        from repro.observe import TimeSeriesSpec
+
+        serial_platform, fnames = _build_platform(Provider.AWS, 2026)
+        builder = TimeSeriesSpec(window_s=5.0).build()
+        serial_platform._observer = builder
+        serial = generator_run(serial_platform, _mixed_trace(fnames), False, builder)
+        platform, fnames = _build_platform(Provider.AWS, 2026)
+        sharded = run_workload_sharded(
+            platform,
+            _mixed_trace(fnames),
+            workers=2,
+            keep_records=False,
+            timeseries=5.0,
         )
+        assert _stream_key(sharded) == _stream_key(serial)
+        assert json.dumps(sharded.timeseries.to_dict(), sort_keys=True) == json.dumps(
+            builder.to_dict(), sort_keys=True
+        )
+
+
+class TestSingleFastPath:
+    """Uncontrolled batch replays never enter the generator loop's fast branch."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_generator_loop(self, monkeypatch):
+        def forbidden(self, requests, positions=None):
+            raise AssertionError("batch replay entered WorkloadEngine._stream_fast")
+
+        monkeypatch.setattr(WorkloadEngine, "_stream_fast", forbidden)
+
+    @pytest.mark.parametrize("keep_records", (True, False))
+    def test_serial_run_workload(self, keep_records):
+        platform, fnames = _build_platform(Provider.AWS, 2026)
+        result = platform.run_workload(_mixed_trace(fnames), keep_records=keep_records)
+        assert result.invocations > 0
+
+    @pytest.mark.parametrize("timeseries", (None, 5.0))
+    def test_sharded_run_workload(self, timeseries):
+        platform, fnames = _build_platform(Provider.AWS, 2026)
+        result = run_workload_sharded(
+            platform,
+            _mixed_trace(fnames),
+            workers=2,
+            backend="sequential",
+            keep_records=False,
+            timeseries=timeseries,
+        )
+        assert result.invocations > 0
+
+    def test_replay_population(self):
+        from repro.population import PopulationSpec, replay_population
+
+        population = PopulationSpec(
+            n_functions=40, duration_s=60.0, aggregate_rate_per_s=5.0, name="guard"
+        )
+        platform = create_platform(Provider.AWS, SimulationConfig(seed=2026))
+        replay = replay_population(platform, population, workers=2, backend="sequential")
+        assert replay.invocations > 0

@@ -110,27 +110,27 @@ def test_golden_storm_trace_matches_its_recipe():
     assert list(stored) == list(recipe)
 
 
-def test_golden_mixed_columnar_matches_scalar_fixture():
-    """The columnar hot path reproduces the mixed golden byte-identically —
-    against the *same* expected file the scalar path is pinned to (the
-    columnar mode may never need fixtures of its own)."""
+def test_golden_mixed_generator_loop_matches_fixture():
+    """The generator loop reproduces the mixed golden byte-identically —
+    against the *same* expected file the batch replay (columnar engine) is
+    pinned to."""
     trace = WorkloadTrace.from_json(builder.trace_path("mixed"))
-    actual = builder.summarize_trace(trace, columnar=True)
+    actual = builder.summarize_trace(trace, run=builder.generator_run)
     expected = json.loads(builder.expected_path("mixed").read_text(encoding="utf-8"))
     assert actual == expected, (
-        "columnar replay of the mixed golden diverged from the scalar fixture"
+        "generator-loop replay of the mixed golden diverged from the fixture"
     )
 
 
-def test_golden_storm_columnar_matches_scalar_fixture():
+def test_golden_storm_generator_loop_matches_fixture():
     """The storm golden runs the controlled overload/fault/resilience loop;
-    under ``columnar=True`` it must still match the scalar fixture exactly
-    (the pre-drawn blocks feed the scalar loop through the stream shims)."""
+    folded straight from the generator loop it must match the fixture the
+    batch replay is pinned to."""
     trace = WorkloadTrace.from_json(builder.trace_path(builder.STORM_NAME))
-    actual = builder.summarize_storm(trace, columnar=True)
+    actual = builder.summarize_storm(trace, run=builder.generator_run)
     expected = json.loads(
         builder.expected_path(builder.STORM_NAME).read_text(encoding="utf-8")
     )
     assert actual == expected, (
-        "columnar replay of the storm golden diverged from the scalar fixture"
+        "generator-loop replay of the storm golden diverged from the fixture"
     )

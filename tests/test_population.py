@@ -36,9 +36,12 @@ from repro.population.replay import (
     PopulationSnapshot,
     _replay_population_shard,
     _resolve_memory,
+    _shard_request_stream,
     deploy_population,
 )
 from repro.simulator.providers import create_platform
+
+from generator_loop import generator_run
 
 FIXTURE = "tests/fixtures/azure_trace_sample.csv"
 
@@ -51,8 +54,8 @@ SMALL = PopulationSpec(
 )
 
 
-def _platform(provider=Provider.AWS, seed=42, columnar=False):
-    return create_platform(provider, SimulationConfig(seed=seed, columnar=columnar))
+def _platform(provider=Provider.AWS, seed=42):
+    return create_platform(provider, SimulationConfig(seed=seed))
 
 
 def _assert_streaming_equal(serial, parallel):
@@ -231,10 +234,22 @@ class TestPopulationReplay:
         assert process.top_tenants == sequential.top_tenants
 
     def test_columnar_replay_matches_scalar(self):
-        scalar = replay_population(_platform(columnar=False), SMALL, workers=2)
-        columnar = replay_population(_platform(columnar=True), SMALL, workers=2)
-        _assert_streaming_equal(scalar.result, columnar.result)
-        assert columnar.top_tenants == scalar.top_tenants
+        """The sharded columnar replay equals one serial generator loop over
+        the whole population's merged request stream."""
+        active, arrivals = [], []
+        for index in range(SMALL.n_functions):
+            offsets = SMALL.arrivals(index, 42)
+            if offsets.size:
+                active.append(index)
+                arrivals.append(offsets)
+        platform = _platform()
+        deploy_population(platform, SMALL, active, seed=42)
+        requests = _shard_request_stream(SMALL, 42, active, arrivals)
+        scalar = generator_run(platform, requests, keep_records=False)
+        columnar = replay_population(_platform(), SMALL, workers=2)
+        _assert_streaming_equal(scalar, columnar.result)
+        top = len(columnar.top_tenants)
+        assert columnar.top_tenants == tuple(tenant_attribution(scalar, SMALL, seed=42)[:top])
 
     def test_dedicated_path_equals_scenario_bridge(self):
         """The scale path replays exactly the scenario bridge's invocations."""

@@ -9,9 +9,10 @@ request.
 
 ``_ReferenceSchedulerMixin`` below re-implements those original semantics on
 top of the current platform (linear warm-list scan + ``max()`` MRU pick +
-full ``select_evictions`` application per request), and the tests replay
-identical Poisson / bursty / diurnal traces through both paths on every
-provider.
+a full scan-based eviction pass per request, ``_apply_full``), and the
+tests replay identical Poisson / bursty / diurnal traces through both paths
+on every provider.  Reference trace replays run the generator loop, the
+one that reaches the overridden ``_acquire_container``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from repro.config import Provider, SimulationConfig, StartType
 from repro.experiments.base import deploy_benchmark
 from repro.simulator.containers import Container
+from repro.simulator.eviction import HalfLifeEvictionPolicy, IdleTimeoutEvictionPolicy
 from repro.simulator.providers import (
     AWSLambdaSimulator,
     AzureFunctionsSimulator,
@@ -35,12 +37,65 @@ from repro.workload import (
     WorkloadTrace,
 )
 
+from generator_loop import generator_run
+
+
+def _select_half_life(policy, pool, now):
+    """Half-life victims by scanning the warm pool, batch by batch."""
+    warm = pool.warm_containers()
+    if not warm:
+        return []
+    # Within each creation batch, the survivors after p periods are the
+    # first floor(initial_batch_size / 2**p) by creation order.
+    victims = []
+    batches = {}
+    for container in warm:
+        batch_key = int(container.created_at // policy.period_s)
+        batches.setdefault(batch_key, []).append(container)
+    for batch_key, batch in batches.items():
+        batch.sort(key=lambda c: (c.created_at, c.container_id))
+        already_evicted = policy._evicted_counts.get((pool.function_name, batch_key), 0)
+        initial = len(batch) + already_evicted
+        periods = int((now - batch[0].created_at) // policy.period_s)
+        if periods <= 0:
+            continue
+        # Earlier victims were the latest-created, so the still-warm batch
+        # occupies the earliest positions of the full population.
+        victims.extend(batch[initial >> periods:])
+    return victims
+
+
+def _select_idle(policy, pool, now):
+    """Idle-timeout victims by scanning the warm pool."""
+    return [
+        container
+        for container in pool.warm_containers()
+        if container.idle_time(now) > policy._timeout_for(pool, container)
+    ]
+
+
+def _apply_full(policy, pool, now):
+    """Scan-based eviction: the reference the incremental ``apply`` must match."""
+    if isinstance(policy, HalfLifeEvictionPolicy):
+        victims = _select_half_life(policy, pool, now)
+        for container in victims:
+            key = (pool.function_name, int(container.created_at // policy.period_s))
+            policy._evicted_counts[key] = policy._evicted_counts.get(key, 0) + 1
+    else:
+        assert isinstance(policy, IdleTimeoutEvictionPolicy)
+        victims = _select_idle(policy, pool, now)
+    pool.evict(victims)
+    return len(victims)
+
 
 class _ReferenceSchedulerMixin:
     """The pre-index scheduling semantics: full scans on every request."""
 
+    def run_workload(self, trace, keep_records=True):  # type: ignore[override]
+        return generator_run(self, trace, keep_records)
+
     def _acquire_container(self, function, state, start_at):  # type: ignore[override]
-        self.eviction_policy.apply_full(state.pool, start_at)
+        _apply_full(self.eviction_policy, state.pool, start_at)
         pool = state.pool
         capacity = self.sandbox_concurrency
         warm = [
@@ -64,7 +119,7 @@ class _ReferenceSchedulerMixin:
 
     def warm_container_count(self, fname):  # type: ignore[override]
         state = self._runtime_state(fname)
-        self.eviction_policy.apply_full(state.pool, self.clock.now())
+        _apply_full(self.eviction_policy, state.pool, self.clock.now())
         function = self.get_function(fname)
         return state.pool.warm_count(version=function.version)
 
@@ -273,8 +328,8 @@ def test_streaming_aggregation_matches_record_mode():
     assert streaming_summary.invocations == exact_summary.invocations
     assert streaming_summary.cold_starts == exact_summary.cold_starts
     assert streaming_summary.total_cost_usd == pytest.approx(exact_summary.total_cost_usd, rel=1e-12)
-    # P² quantiles are estimates; on thousands of samples they should sit
-    # within a few percent of the exact percentiles.
+    # Reservoir percentiles are estimates; on thousands of samples they
+    # should sit within a few percent of the exact percentiles.
     assert streaming_summary.client_time.median == pytest.approx(
         exact_summary.client_time.median, rel=0.05
     )

@@ -11,12 +11,7 @@ from repro.experiments.base import deploy_benchmark
 from repro.faas.invocation import InvocationRequest
 from repro.faas.platform import LogQueryType
 from repro.simulator.providers import create_platform
-from repro.stats import (
-    P2Quantile,
-    ReservoirSample,
-    StreamingMoments,
-    StreamingSummary,
-)
+from repro.stats import StreamingMoments, StreamingSummary
 from repro.workload import PoissonArrivals, WorkloadTrace
 
 
@@ -40,60 +35,6 @@ class TestStreamingMoments:
         moments.add(4.0)
         assert moments.mean == pytest.approx(3.0)
         assert moments.variance == pytest.approx(2.0)
-
-
-class TestP2Quantile:
-    @pytest.mark.parametrize("p", [0.02, 0.25, 0.5, 0.75, 0.95, 0.99])
-    def test_converges_on_lognormal_stream(self, p):
-        rng = np.random.default_rng(11)
-        data = rng.lognormal(mean=0.0, sigma=0.5, size=20000)
-        estimator = P2Quantile(p)
-        for x in data:
-            estimator.add(float(x))
-        exact = float(np.percentile(data, p * 100.0))
-        assert estimator.value() == pytest.approx(exact, rel=0.05)
-        assert estimator.count == 20000
-
-    def test_exact_below_five_samples(self):
-        estimator = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            estimator.add(x)
-        assert estimator.value() == pytest.approx(3.0)
-
-    def test_rejects_invalid_quantile_and_empty_stream(self):
-        with pytest.raises(ConfigurationError):
-            P2Quantile(1.5)
-        with pytest.raises(ConfigurationError):
-            P2Quantile(0.5).value()
-
-
-class TestReservoirSample:
-    def test_keeps_everything_below_capacity(self):
-        reservoir = ReservoirSample(10)
-        for x in range(7):
-            reservoir.add(float(x))
-        assert sorted(reservoir.values()) == [float(x) for x in range(7)]
-
-    def test_bounded_and_uniformish(self):
-        reservoir = ReservoirSample(100, seed=5)
-        for x in range(10000):
-            reservoir.add(float(x))
-        values = reservoir.values()
-        assert len(values) == 100
-        assert reservoir.seen == 10000
-        # A uniform sample of 0..9999 should span the range, not hug one end.
-        assert np.mean(values) == pytest.approx(5000.0, rel=0.25)
-
-    def test_deterministic_for_same_seed(self):
-        first, second = ReservoirSample(20, seed=9), ReservoirSample(20, seed=9)
-        for x in range(1000):
-            first.add(float(x))
-            second.add(float(x))
-        assert first.values() == second.values()
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ConfigurationError):
-            ReservoirSample(0)
 
 
 class TestStreamingSummary:

@@ -297,6 +297,26 @@ class TestEventQueueEngine:
         with pytest.raises(ConfigurationError):
             list(aws.invoke_stream(requests))
 
+    @pytest.mark.parametrize("overload", (False, True), ids=("uncontrolled", "overload"))
+    def test_nan_submission_time_is_rejected(self, overload):
+        """NaN compares False both ways, so it must not slip past the sort
+        check into the replay."""
+        from repro.concurrency import OverloadConfig
+
+        simulation = SimulationConfig(
+            seed=3, overload=OverloadConfig(reserved_concurrency=4) if overload else None
+        )
+        platform = create_platform(Provider.AWS, simulation)
+        fname = _deploy(platform)
+        requests = [
+            InvocationRequest(function_name=fname, submitted_at=0.5),
+            InvocationRequest(function_name=fname, submitted_at=float("nan")),
+            InvocationRequest(function_name=fname, submitted_at=1.0),
+        ]
+        for keep_records in (True, False):
+            with pytest.raises(ConfigurationError, match="sorted"):
+                platform.run_workload(requests, keep_records=keep_records)
+
     def test_run_workload_validates_functions_upfront(self, aws):
         trace = WorkloadTrace([InvocationRequest(function_name="ghost", submitted_at=0.0)])
         with pytest.raises(FunctionNotFoundError):
