@@ -57,16 +57,14 @@ import itertools
 import math
 from typing import Callable, Iterable
 
-import numpy as np
-
 from ..config import DYNAMIC_MEMORY, InvocationOutcome, Provider, StartType, TriggerType
 from ..exceptions import ConfigurationError
 from ..faas.billing import CostBreakdown
 from ..faas.invocation import InvocationRecord, payload_wire_bytes
 from ..simulator.containers import Container, ContainerState
 from ..simulator.reliability import ReliabilityModel
+from ..utils.rng import lognormal_sigma
 from ..utils.units import round_up
-from .draws import BLOCK as _BLOCK
 from ..workload.engine import (
     _PRUNE_INTERVAL,
     _FunctionAccumulator,
@@ -281,7 +279,7 @@ def _build_lane(platform, fname: str) -> _Lane:
     ) / bandwidth
     lane.s_jitter = storage.jitter_cv > 0
     if lane.s_jitter:
-        s_sigma = float(np.sqrt(np.log(1.0 + storage.jitter_cv**2)))
+        s_sigma = lognormal_sigma(storage.jitter_cv)
         lane.s_sigma = s_sigma
         lane.s_mean = -(s_sigma**2) / 2.0
     else:
@@ -370,12 +368,12 @@ def _build_lane(platform, fname: str) -> _Lane:
 def _jitter_params(cv: float) -> tuple[float, float] | None:
     """(mean, sigma) of the lognormal jitter for ``cv``; None = no draw.
 
-    Matches ``ComputeModel._jitter``: ``sigma = float(sqrt(log(1+cv^2)))``
-    (cached as a Python float there), ``mean = -sigma**2 / 2.0``.
+    Matches ``ComputeModel._jitter``: ``sigma = lognormal_sigma(cv)``,
+    ``mean = -sigma**2 / 2.0``.
     """
     if cv <= 0:
         return None
-    sigma = float(np.sqrt(np.log(1.0 + cv**2)))
+    sigma = lognormal_sigma(cv)
     return (-(sigma**2) / 2.0, sigma)
 
 
@@ -704,7 +702,7 @@ def _replay(
             gi = gw._i
             gv = gw._values
             if gi == len(gv):
-                gv = gw._values = gw._rng.lognormal(gw._mean, gw._sigma, _BLOCK).tolist()
+                gv = gw.refill()
                 gi = 0
             gw._i = gi + 1
             gateway = (lane.http_base if via_http else lane.sdk_base) * gv[gi]
@@ -721,12 +719,12 @@ def _replay(
                 ni = nb._i
                 nv = nb._values
                 if ni == len(nv):
-                    nv = nb._values = nb._rng.exponential(nb._scale, _BLOCK).tolist()
+                    nv = nb.refill()
                     ni = 0
                 request_network_s = lane.req_base + nv[ni]
                 ni += 1
                 if ni == len(nv):
-                    nv = nb._values = nb._rng.exponential(nb._scale, _BLOCK).tolist()
+                    nv = nb.refill()
                     ni = 0
                 response_network_s = lane.resp_base + nv[ni]
                 nb._i = ni + 1

@@ -40,8 +40,9 @@ from ..utils.io import atomic_write_bytes
 from .plan import ScenarioShard, TraceShard, WorkflowShard
 from .snapshot import PlatformSnapshot
 
-#: Bumped whenever the checkpoint file or fingerprint layout changes.
-_FORMAT_VERSION = 1
+#: Bumped whenever the checkpoint file or fingerprint layout changes, or
+#: the pickled layout of an outcome does (2: reservoirs defer their tags).
+_FORMAT_VERSION = 2
 
 _CHECKPOINT_NAME = re.compile(r"^shard_(\d{5})\.ckpt$")
 

@@ -34,6 +34,7 @@ a single request.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -203,26 +204,32 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         """Validate all envelopes and derive-able defaults."""
+        # Negated comparisons, so NaN fails every check; infinities are
+        # rejected explicitly (they would only fail later, inside numpy).
         if self.n_functions < 1:
             raise ConfigurationError("a population needs at least one function")
-        if self.duration_s <= 0:
-            raise ConfigurationError("population duration must be positive")
-        if self.aggregate_rate_per_s <= 0:
-            raise ConfigurationError("aggregate arrival rate must be positive")
+        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
+            raise ConfigurationError("population duration must be positive and finite")
+        if not (self.aggregate_rate_per_s > 0 and math.isfinite(self.aggregate_rate_per_s)):
+            raise ConfigurationError("aggregate arrival rate must be positive and finite")
         if self.n_tenants is not None and self.n_tenants < 1:
             raise ConfigurationError("a population needs at least one tenant")
-        if self.zipf_alpha < 0:
-            raise ConfigurationError("zipf_alpha must be non-negative")
+        if not (self.zipf_alpha >= 0 and math.isfinite(self.zipf_alpha)):
+            raise ConfigurationError("zipf_alpha must be non-negative and finite")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ConfigurationError("diurnal amplitude must lie in [0, 1]")
-        if self.diurnal_period_s is not None and self.diurnal_period_s <= 0:
-            raise ConfigurationError("diurnal period must be positive")
+        if self.diurnal_period_s is not None and not (
+            self.diurnal_period_s > 0 and math.isfinite(self.diurnal_period_s)
+        ):
+            raise ConfigurationError("diurnal period must be positive and finite")
         if self.burst_epochs < 0:
             raise ConfigurationError("burst_epochs must be non-negative")
-        if self.burst_window_s is not None and self.burst_window_s <= 0:
-            raise ConfigurationError("burst window must be positive")
-        if self.burst_multiplier < 1.0:
-            raise ConfigurationError("burst multiplier must be at least 1")
+        if self.burst_window_s is not None and not (
+            self.burst_window_s > 0 and math.isfinite(self.burst_window_s)
+        ):
+            raise ConfigurationError("burst window must be positive and finite")
+        if not (self.burst_multiplier >= 1.0 and math.isfinite(self.burst_multiplier)):
+            raise ConfigurationError("burst multiplier must be at least 1 and finite")
         if not 0.0 <= self.burst_participation <= 1.0:
             raise ConfigurationError("burst participation must lie in [0, 1]")
         if not self.profiles:

@@ -27,6 +27,7 @@ from ..benchmarks.base import WorkProfile
 from ..config import DYNAMIC_MEMORY
 from ..faas.limits import PlatformLimits
 from ..storage.latency import StorageLatencyModel
+from ..utils.rng import lognormal_sigma
 from .profiles import ProviderPerformanceProfile
 
 
@@ -58,7 +59,6 @@ class ComputeModel:
         # stores the exact float the inline computation would produce, so
         # replays are bit-identical with or without a warm cache.
         self._share_cache: dict[int, float] = {}
-        self._sigma_cache: dict[float, float] = {}
 
     @property
     def storage_model(self) -> StorageLatencyModel:
@@ -81,9 +81,7 @@ class ComputeModel:
     def _jitter(self, cv: float) -> float:
         if cv <= 0:
             return 1.0
-        sigma = self._sigma_cache.get(cv)
-        if sigma is None:
-            sigma = self._sigma_cache[cv] = float(np.sqrt(np.log(1.0 + cv**2)))
+        sigma = lognormal_sigma(cv)
         return float(self._rng.lognormal(mean=-sigma**2 / 2.0, sigma=sigma))
 
     def compute_time(self, profile: WorkProfile, memory_mb: int, concurrent: bool = False) -> float:

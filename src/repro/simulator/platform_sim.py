@@ -100,7 +100,10 @@ class _FunctionRuntimeState:
     are therefore a pure function of its own request history: co-deployed
     functions never perturb each other's draws, which is what lets sharded
     parallel replay (:mod:`repro.parallel`) reproduce serial replay
-    bit-for-bit, one function shard at a time.
+    bit-for-bit, one function shard at a time.  Streams a provider may
+    never draw from (reliability, spurious, and the retry / fault /
+    client-retry streams of controlled replays) are
+    :class:`~repro.utils.rng.LazyStream` handles, derived on first draw.
     """
 
     pool: ContainerPool
@@ -263,17 +266,17 @@ class SimulatedPlatform(FaaSPlatform):
                 self.provider,
                 slot_capacity=self.sandbox_concurrency,
             )
-            retry_stream = streams.stream("retry", fname)
+            retry_stream = streams.lazy("retry", fname)
         fault_state = None
         if self._faults is not None:
-            fault_state = build_fault_state(fname, self._faults, streams.stream("fault", fname))
+            fault_state = build_fault_state(fname, self._faults, streams.lazy("fault", fname))
         breaker = None
         client_retry_stream = None
         if self._resilience is not None:
             if self._resilience.breaker is not None:
                 breaker = CircuitBreaker(self._resilience.breaker)
             if self._client_retry_policy is not None:
-                client_retry_stream = streams.stream("client-retry", fname)
+                client_retry_stream = streams.lazy("client-retry", fname)
         state = _FunctionRuntimeState(
             throttle=throttle,
             retry_stream=retry_stream,
@@ -284,7 +287,7 @@ class SimulatedPlatform(FaaSPlatform):
             compute=self._build_compute_model(fname),
             reliability=ReliabilityModel(
                 self.provider,
-                streams.stream("reliability", fname),
+                streams.lazy("reliability", fname),
                 enabled=self.simulation.enable_failures,
             ),
             # Per-function jitter stream, but the same constant clock offset:
@@ -294,7 +297,7 @@ class SimulatedPlatform(FaaSPlatform):
                 streams.stream("network", fname),
                 clock_offset_s=self.network.clock_offset_s,
             ),
-            spurious_stream=streams.stream("spurious", fname),
+            spurious_stream=streams.lazy("spurious", fname),
             gateway_stream=streams.stream("gateway", fname),
             language=language,
             history=deque(maxlen=retention),

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..utils.rng import lognormal_sigma
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class StorageLatencyModel:
         # Log-normal multiplicative jitter keeps durations positive and
         # produces the right-skewed distributions observed in the paper.
         if profile.jitter_cv > 0:
-            sigma = np.sqrt(np.log(1.0 + profile.jitter_cv**2))
+            sigma = lognormal_sigma(profile.jitter_cv)
             jitter = float(self._rng.lognormal(mean=-sigma**2 / 2.0, sigma=sigma))
         else:
             jitter = 1.0

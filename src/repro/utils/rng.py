@@ -9,6 +9,7 @@ simulation stays reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -64,6 +65,10 @@ class RandomStreams:
             self._streams[key] = np.random.default_rng(derive_seed(self._master_seed, key))
         return self._streams[key]
 
+    def lazy(self, *names: str) -> "LazyStream":
+        """A handle on :meth:`stream` ``(*names)`` that derives it on first use."""
+        return LazyStream(self, names)
+
     def fork(self, *names: str) -> "RandomStreams":
         """Return a new :class:`RandomStreams` seeded from a named child seed."""
         return RandomStreams(derive_seed(self._master_seed, "fork", *names))
@@ -71,3 +76,46 @@ class RandomStreams:
     def reset(self) -> None:
         """Drop all created streams so the next draw restarts each sequence."""
         self._streams.clear()
+
+
+class LazyStream:
+    """A named :class:`RandomStreams` stream, derived on its first draw.
+
+    Deriving a generator costs a SHA-256 and a bit-generator seeding (tens
+    of microseconds), and many per-function streams of a large population
+    are never drawn from (AWS never draws reliability or spurious
+    cold-start uniforms).  A stream's sequence depends only on its name, so
+    deriving it late yields exactly the values an eager derivation would.
+    Attribute access (``random``, ``uniform``, …) resolves the stream and
+    delegates; hot paths call :meth:`resolve` once and keep the generator.
+    """
+
+    __slots__ = ("_streams", "_names", "_rng")
+
+    def __init__(self, streams: RandomStreams, names: tuple[str, ...]):
+        self._streams = streams
+        self._names = names
+        self._rng: np.random.Generator | None = None
+
+    def resolve(self) -> np.random.Generator:
+        """The underlying generator, derived (and registered) on first call."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._streams.stream(*self._names)
+        return rng
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.resolve(), name)
+
+
+@functools.lru_cache(maxsize=256)
+def lognormal_sigma(cv: float) -> float:
+    """Shape ``sigma`` of the mean-one lognormal jitter with coefficient of variation ``cv``.
+
+    The one home of ``sqrt(log(1 + cv^2))``: the compute, storage and
+    columnar paths all read it here, so their jitter draws use the same
+    float; the matching location is ``-sigma**2 / 2.0``.
+    """
+    return float(np.sqrt(np.log(1.0 + cv**2)))

@@ -89,7 +89,7 @@ from ..config import InvocationOutcome, Provider, StartType, TriggerType
 from ..exceptions import ConfigurationError
 from ..faas.billing import CostBreakdown
 from ..faas.invocation import InvocationRecord, InvocationRequest
-from ..stats.streaming import StreamingSummary
+from ..stats.streaming import StreamingSummary, summarize_many
 from ..stats.summary import DistributionSummary, summarize
 from .trace import MergedWorkloadTrace, WorkloadTrace
 
@@ -287,14 +287,15 @@ class _FunctionAccumulator:
         self.short_circuited += other.short_circuited
         self.hedges += other.hedges
 
-    def summary(self) -> FunctionWorkloadSummary:
+    def summary(self, client_time: DistributionSummary | None) -> FunctionWorkloadSummary:
+        """This function's summary around its (batched) client-time summary."""
         return FunctionWorkloadSummary(
             function_name=self.function_name,
             invocations=self.invocations,
             cold_starts=self.cold_starts,
             failures=self.failures,
             total_cost_usd=self.total_cost_usd,
-            client_time=self.client_time.to_summary() if self.executed else None,
+            client_time=client_time,
             throttled=self.throttled,
             dropped=self.dropped,
             throttle_events=self.throttle_events,
@@ -421,8 +422,18 @@ class _ReplayAccumulator:
         return sum(acc.queue_delay_s for acc in self._ordered())
 
     def summaries(self) -> dict[str, FunctionWorkloadSummary]:
+        """Per-function summaries, with every latency percentile query batched."""
+        ordered = self._ordered()
+        executed = [acc for acc in ordered if acc.executed]
+        client_times = dict(
+            zip(
+                (acc.function_name for acc in executed),
+                summarize_many([acc.client_time for acc in executed]),
+            )
+        )
         return {
-            fname: self.per_function[fname].summary() for fname in sorted(self.per_function)
+            acc.function_name: acc.summary(client_times.get(acc.function_name))
+            for acc in ordered
         }
 
 
@@ -1071,7 +1082,7 @@ class WorkloadEngine:
                 # work until the retry budgets run out.  A circuit breaker
                 # (which counts these stale responses as failures) is the
                 # escape hatch.
-                delay = client_policy.next_delay(attempts, state.client_retry_stream)
+                delay = client_policy.next_delay(attempts, state.client_retry_stream.resolve())
                 if delay is not None:
                     carried_cost = record.cost
                     carried_hedges = record.hedges
@@ -1264,7 +1275,7 @@ class WorkloadEngine:
                         (finished_abs, next(sequence), fname, "", False, _SIG_FAILURE),
                     )
                 delay = (
-                    client_policy.next_delay(attempts, state.client_retry_stream)
+                    client_policy.next_delay(attempts, state.client_retry_stream.resolve())
                     if (sync and client_policy is not None)
                     else None
                 )
@@ -1343,7 +1354,7 @@ class WorkloadEngine:
                         completions,
                         (now_abs + response_s, next(sequence), fname, "", False, _SIG_THROTTLE),
                     )
-                delay = policy.next_delay(attempts, state.retry_stream)
+                delay = policy.next_delay(attempts, state.retry_stream.resolve())
                 if delay is None:
                     finished_abs = now_abs + response_s
                     if finished_abs > last_finish:

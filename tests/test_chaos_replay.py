@@ -255,6 +255,45 @@ def test_sigkill_midrun_resume_is_byte_identical(tmp_path):
     assert resumed.simulated_span_s == serial.simulated_span_s
 
 
+def test_streaming_resume_with_untagged_reservoirs_is_byte_identical(tmp_path):
+    """Checkpointed streaming shards carry reservoirs that never drew a tag;
+    resuming from them (every re-run shard is poisoned) merges to exactly
+    the serial streaming result."""
+    trace = _trace()
+    serial = _platform().run_workload(trace, keep_records=False)
+    _platform().run_workload(
+        trace, workers=3, backend="sequential", keep_records=False, checkpoint_dir=tmp_path
+    )
+    (directory,) = {path.parent for path in tmp_path.rglob("*.ckpt")}
+    outcomes = CheckpointStore(tmp_path, directory.name).load()
+    assert len(outcomes) == 3
+    reservoirs = [
+        acc.client_time._reservoir
+        for outcome in outcomes.values()
+        for acc in outcome.accumulator.per_function.values()
+    ]
+    assert reservoirs and all(r._pending is not None and r._rng is None for r in reservoirs)
+    poisoned = SupervisorConfig(
+        fault_injection=WorkerFaultInjection(
+            {index: ShardFault("flaky", attempts=99) for index in range(3)}
+        ),
+        max_retries=0,
+        quarantine=False,
+        **_FAST,
+    )
+    resumed = _platform().run_workload(
+        trace,
+        workers=3,
+        keep_records=False,
+        supervision=poisoned,
+        checkpoint_dir=tmp_path,
+        resume=True,
+    )
+    assert repr(resumed.per_function()) == repr(serial.per_function())
+    assert resumed.total_cost_usd.hex() == serial.total_cost_usd.hex()
+    assert resumed.simulated_span_s.hex() == serial.simulated_span_s.hex()
+
+
 def test_resume_ignores_corrupt_checkpoints(tmp_path):
     trace = _trace()
     serial = _platform().run_workload(trace)

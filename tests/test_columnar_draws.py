@@ -13,12 +13,15 @@ and columnar paths).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import BLOCK, ExponentialBlock, LognormalBlock, UniformBlock
+from repro.columnar.draws import FIRST_BLOCK
 from repro.exceptions import ConfigurationError
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
@@ -92,13 +95,25 @@ class TestBlocksMatchScalarStreams:
             assert block.take() == scalar_rng.exponential(scale), f"index {i}"
 
     def test_partial_batch_tail_positions(self):
-        """After k takes the cursor sits at k mod BLOCK into the batch."""
-        for k in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 5):
+        """Refills draw 16, 32, 64, 128, then BLOCK values at a time.
+
+        After k takes the buffer holds the batch containing take k, the
+        cursor sits just past it, and the wrapped generator sits exactly at
+        the end of every batch drawn so far.
+        """
+        assert (FIRST_BLOCK, BLOCK) == (16, 256)
+        sizes = [16, 32, 64, 128, 256, 256, 256]
+        ends = list(itertools.accumulate(sizes))
+        assert ends == [16, 48, 112, 240, 496, 752, 1008]
+        reference = _gen(99).random(ends[-1] + 1).tolist()
+        for k in (1, 15, 16, 17, 48, 49, 112, 113, 240, 241, 496, 497, 752, 753):
             block = UniformBlock(_gen(99))
             for _ in range(k):
                 block.take()
-            assert block._i == (k - 1) % BLOCK + 1
-            assert len(block._values) == BLOCK
+            batch = next(j for j, end in enumerate(ends) if k <= end)
+            assert len(block._values) == sizes[batch], f"k={k}"
+            assert block._i == k - (ends[batch] - sizes[batch]), f"k={k}"
+            assert block._rng.random() == reference[ends[batch]], f"k={k}"
 
 
 # -------------------------------------------- interleaved scalar fallbacks

@@ -111,6 +111,24 @@ class TestPopulationSpec:
                 n_functions=10, duration_s=60.0, aggregate_rate_per_s=1.0, profiles=()
             )
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "duration_s",
+            "aggregate_rate_per_s",
+            "zipf_alpha",
+            "diurnal_period_s",
+            "burst_window_s",
+            "burst_multiplier",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_validation_rejects_non_finite_floats(self, field, value):
+        base = dict(n_functions=10, duration_s=60.0, aggregate_rate_per_s=1.0)
+        base[field] = value
+        with pytest.raises(ConfigurationError):
+            PopulationSpec(**base)
+
     def test_expected_counts_are_zipf_and_sum_to_rate_times_duration(self):
         counts = SMALL.expected_counts()
         assert counts.shape == (SMALL.n_functions,)
