@@ -9,8 +9,9 @@ overload admission, no fault plane, no client resilience, no kernel
 execution.  Everything a record
 shares with its function — CPU share, jitter parameters, storage transfer
 bases, billing constants, reliability thresholds — is precomputed once per
-function into a :class:`_Lane`; per invocation only the data-dependent
-draws and float arithmetic remain.
+function *class* and copied into each function's :class:`_Lane` (see
+:func:`_build_lane`); per invocation only the data-dependent draws and
+float arithmetic remain.
 
 **Draw-order contract.**  The loop consumes the per-function random
 streams in exactly the scalar order:
@@ -18,7 +19,8 @@ streams in exactly the scalar order:
 1. eviction-policy apply (own per-pool stream, delegated to the policy);
 2. spurious cold-start uniform (only when the provider's probability > 0);
 3. compute stream — jitter lognormal, contention uniform, per-transfer
-   storage lognormals, cold-init draws (delegated to
+   storage lognormals (one ``size=k`` draw, see :func:`_storage_time`),
+   cold-init draws (delegated to
    :meth:`~repro.simulator.compute.ComputeModel.cold_init_time` — the cold
    path is rare and data-dependent), memory normal;
 4. reliability stream — sporadic-OOM uniform (GCP, borderline lanes only),
@@ -38,10 +40,10 @@ Three sink modes share the loop:
 * **record** — per-invocation variables append to a
   :class:`~repro.columnar.records.ColumnarRecordBlock`; record objects are
   materialised lazily after the loop (``keep_records=True``);
-* **fold** — per-lane counters and batched
-  :meth:`~repro.stats.streaming.StreamingSummary.add_many` folds build a
-  :class:`~repro.workload.engine._ReplayAccumulator` without ever creating
-  a record (``keep_records=False``);
+* **fold** — per-lane counters and buffers fold in batches into the rows
+  of a :class:`~repro.workload.engine._ReplayAccumulator`
+  (:meth:`~repro.workload.engine._ReplayAccumulator.add_many`) without ever
+  creating a record (``keep_records=False``);
 * **emit** — an attached observer needs the record object and its hooks in
   stream order, so records are built inline and handed to a callback (the
   loop still wins the blocked draws and the inlined arithmetic).
@@ -65,11 +67,7 @@ from ..simulator.containers import Container, ContainerState
 from ..simulator.reliability import ReliabilityModel
 from ..utils.rng import lognormal_sigma
 from ..utils.units import round_up
-from ..workload.engine import (
-    _PRUNE_INTERVAL,
-    _FunctionAccumulator,
-    _ReplayAccumulator,
-)
+from ..workload.engine import _PRUNE_INTERVAL, _ReplayAccumulator
 from .records import ColumnarRecordBlock, LaneMeta
 
 _HTTP = TriggerType.HTTP
@@ -83,7 +81,7 @@ _CS_WARM = ContainerState.WARM
 _LIVE = (ContainerState.WARM, ContainerState.BUSY)
 
 #: Streaming-fold flush threshold: client-time / cost buffers fold into the
-#: per-function accumulator in batches of this size (element order inside a
+#: accumulator row in batches of this size (element order inside a
 #: batch is preserved, so the fold is bit-identical to per-record adds).
 _FOLD_BATCH = 8192
 
@@ -92,23 +90,73 @@ _FOLD_BATCH = 8192
 #: every append.
 _HISTORY_SLACK = 2
 
+#: Values a lane's provider-log buffer holds per invocation: provider time,
+#: memory used, cost, cold flag, success flag, finish timestamp.
+_LOG_FIELDS = 6
+
+
+#: Lane slots that depend only on the function's class (see
+#: :func:`_build_lane`): copied from the class template into every lane.
+_TEMPLATE_SLOTS = (
+    "benchmark",
+    "memory_mb",
+    "profile",
+    "package_mb",
+    "timeout_s",
+    "peak_memory_mb",
+    # Overridden sandbox acquisition (IaaS's always-warm VM); ``None``
+    # selects the inlined base-platform path.
+    "acquire",
+    # compute
+    "compute_base",
+    "jit_solo",
+    "jit_conc",
+    # storage: one base latency per transfer of an invocation, reads then
+    # writes (empty when the profile does no storage I/O)
+    "contention_p",
+    "contention_slowdown",
+    "storage_bases",
+    "s_jitter",
+    "s_mean",
+    "s_sigma",
+    # reliability
+    "rel_dynamic",
+    "rel_strict",
+    "rel_lenient_threshold",
+    "rel_borderline",
+    "rel_burst",
+    "rel_gcp",
+    "rel_highmem",
+    # gateway / payload / network
+    "http_base",
+    "sdk_base",
+    "payload_denom",
+    "empty_upload",
+    "response_download_s",
+    "req_base",
+    "resp_base",
+    "sp_p",
+    # billing
+    "is_vm",
+    "vm_price",
+    "min_billed",
+    "granularity",
+    "gb_price",
+    "bills_avg",
+    "mem_gb_const",
+    "mem_gran",
+    "mem_overhead",
+    "statics",
+)
+
 
 class _Lane:
     """Per-function constants and prebound hot-path callables."""
 
-    __slots__ = (
+    __slots__ = _TEMPLATE_SLOTS + (
         "fname",
-        "benchmark",
         "version",
-        "memory_mb",
-        "profile",
-        "package_mb",
-        "timeout_s",
-        "peak_memory_mb",
         "function",
-        # Overridden sandbox acquisition (IaaS's always-warm VM); ``None``
-        # selects the inlined base-platform path.
-        "acquire",
         # pool / container plumbing.  The pick / reserve / finish-serve /
         # release operations are inlined in the loop against the pool's
         # internal structures: ``heap`` (the per-version MRU heap list),
@@ -121,9 +169,6 @@ class _Lane:
         "in_use",
         "index",
         "cap",
-        "pool_add",
-        "release",
-        "next_container_id",
         "in_flight",
         # compute stream (scalar draws, inlined arithmetic)
         "c_lognormal",
@@ -132,66 +177,19 @@ class _Lane:
         # attached a dedicated one, e.g. IaaS cloud storage)
         "sto_lognormal",
         "sto_random",
-        "compute_base",
-        "jit_solo",
-        "jit_conc",
         "cold_init_time",
-        # storage
-        "contention_p",
-        "contention_slowdown",
-        "read_on",
-        "read_requests",
-        "read_base",
-        "write_on",
-        "write_requests",
-        "write_base",
-        "s_jitter",
-        "s_mean",
-        "s_sigma",
-        # reliability
+        # per-function pre-drawn blocks
         "rel_take",
-        "rel_dynamic",
-        "rel_strict",
-        "rel_lenient_threshold",
-        "rel_borderline",
-        "rel_burst",
-        "rel_gcp",
-        "rel_highmem",
-        # gateway / payload / network
         "gw_block",
-        "http_base",
-        "sdk_base",
-        "payload_denom",
-        "empty_upload",
-        "response_download_s",
-        "req_base",
-        "resp_base",
         "net_block",
         "sp_take",
-        "sp_p",
-        # billing
-        "is_vm",
-        "vm_price",
-        "min_billed",
-        "granularity",
-        "gb_price",
-        "bills_avg",
-        "mem_gb_const",
-        "mem_gran",
-        "mem_overhead",
-        "statics",
-        # provider-log buffers
+        # provider-log buffer: one flat list, ``_LOG_FIELDS`` values per
+        # invocation
         "state",
-        "h_pt",
-        "h_used",
-        "h_cost",
-        "h_cold",
-        "h_success",
-        "h_ts",
+        "log",
         # sink state
         "lane_idx",
-        "acc",
-        "n",
+        "slot",
         "n_cold",
         "n_fail",
         "cost_buf",
@@ -199,36 +197,43 @@ class _Lane:
     )
 
 
-def _build_lane(platform, fname: str) -> _Lane:
-    """Resolve one function into a precomputed lane (first appearance)."""
-    from ..simulator.platform_sim import SimulatedPlatform
+def _build_lane(platform, fname: str, templates: dict) -> _Lane:
+    """Resolve one function into a lane (first appearance).
 
+    Everything a lane's constants read is fixed by the function's *class*:
+    benchmark, input size, language, memory, package size, timeout and the
+    storage and network profiles.  The constants are compiled once per
+    class into ``templates`` (one dict per replay) and copied into each
+    lane; per function only the pool, the stream handles, the buffers and
+    the counters are set.
+    """
     function = platform.get_function(fname)
     state = platform._state.get(fname)
     if state is None:
         state = platform._runtime_state(fname)
-    profile = platform._profile_for(function, state)
-    memory_mb = function.config.memory_mb
-    performance = platform.performance
     compute = state.compute
+    config = function.config
+    network = state.network
+    key = (
+        function.benchmark,
+        state.input_size,
+        state.language,
+        config.memory_mb,
+        function.package.size_mb,
+        config.timeout_s,
+        id(compute.storage_model.profile),
+        id(network.profile),
+    )
+    template = templates.get(key)
+    if template is None:
+        template = templates[key] = _lane_template(platform, function, state)
 
     lane = _Lane()
+    for name, value in zip(_TEMPLATE_SLOTS, template):
+        setattr(lane, name, value)
     lane.fname = function.name
-    lane.benchmark = function.benchmark
     lane.version = function.version
-    lane.memory_mb = memory_mb
-    lane.profile = profile
-    lane.package_mb = function.package.size_mb
-    lane.timeout_s = function.config.timeout_s
-    lane.peak_memory_mb = profile.peak_memory_mb
     lane.function = function
-    # A platform that overrides sandbox acquisition (IaaS) keeps its own
-    # semantics: the loop calls the override per invocation instead of the
-    # inlined base path.
-    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
-        lane.acquire = None
-    else:
-        lane.acquire = platform._acquire_container
 
     pool = state.pool
     lane.pool = pool
@@ -239,9 +244,6 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.in_use = pool._in_use
     lane.index = pool._index
     lane.cap = pool.slot_capacity
-    lane.pool_add = pool.add
-    lane.release = pool.release
-    lane.next_container_id = pool.next_container_id
     lane.in_flight = 0
 
     # Compute stream: the heterogeneous scalar stream (see module docstring).
@@ -251,13 +253,56 @@ def _build_lane(platform, fname: str) -> _Lane:
     storage_rng = compute.storage_model._rng
     lane.sto_lognormal = storage_rng.lognormal
     lane.sto_random = storage_rng.random
+    lane.cold_init_time = compute.cold_init_time
+
+    lane.rel_take = state.reliability._rng.take if platform.simulation.enable_failures else None
+    lane.gw_block = state.gateway_stream
+    lane.net_block = network._rng if network.profile.jitter_scale_s > 0 else None
+    lane.sp_take = state.spurious_stream.take if lane.sp_p > 0 else None
+
+    # Provider-log buffer (materialised into state.history after the loop).
+    lane.state = state
+    lane.log = []
+
+    lane.lane_idx = -1
+    lane.slot = -1
+    lane.n_cold = 0
+    lane.n_fail = 0
+    lane.cost_buf = []
+    lane.client_buf = []
+    return lane
+
+
+def _lane_template(platform, function, state) -> tuple:
+    """The class constants of ``function``'s lanes, in ``_TEMPLATE_SLOTS`` order."""
+    from ..simulator.platform_sim import _EMPTY_PAYLOAD_BYTES, SimulatedPlatform
+
+    profile = platform._profile_for(function, state)
+    memory_mb = function.config.memory_mb
+    performance = platform.performance
+    compute = state.compute
+
+    lane = _Lane()
+    lane.benchmark = function.benchmark
+    lane.memory_mb = memory_mb
+    lane.profile = profile
+    lane.package_mb = function.package.size_mb
+    lane.timeout_s = function.config.timeout_s
+    lane.peak_memory_mb = profile.peak_memory_mb
+    # A platform that overrides sandbox acquisition (IaaS) keeps its own
+    # semantics: the loop calls the override per invocation instead of the
+    # inlined base path.
+    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
+        lane.acquire = None
+    else:
+        lane.acquire = platform._acquire_container
+
     share = compute.cpu_share(memory_mb)
     lane.compute_base = profile.warm_compute_s * performance.compute_speed_factor / share
     lane.jit_solo = _jitter_params(performance.compute_jitter_cv)
     lane.jit_conc = _jitter_params(
         performance.compute_jitter_cv * performance.concurrency_jitter_factor
     )
-    lane.cold_init_time = compute.cold_init_time
 
     # Storage: per-transfer base latencies precomputed exactly as
     # StorageLatencyModel.transfer_time computes them.  Read the profile off
@@ -267,16 +312,15 @@ def _build_lane(platform, fname: str) -> _Lane:
     bandwidth = compute.storage_model.bandwidth_mbps(effective) * 1024 * 1024
     lane.contention_p = storage.contention_tail_probability
     lane.contention_slowdown = storage.contention_slowdown
-    lane.read_on = profile.storage_read_bytes > 0 or profile.storage_read_requests > 0
-    lane.read_requests = max(1, profile.storage_read_requests)
-    lane.read_base = storage.base_latency_s + (
-        profile.storage_read_bytes // lane.read_requests
-    ) / bandwidth
-    lane.write_on = profile.storage_write_bytes > 0 or profile.storage_write_requests > 0
-    lane.write_requests = max(1, profile.storage_write_requests)
-    lane.write_base = storage.base_latency_s + (
-        profile.storage_write_bytes // lane.write_requests
-    ) / bandwidth
+    bases = []
+    for size, requests in (
+        (profile.storage_read_bytes, profile.storage_read_requests),
+        (profile.storage_write_bytes, profile.storage_write_requests),
+    ):
+        if size > 0 or requests > 0:
+            requests = max(1, requests)
+            bases += [storage.base_latency_s + (size // requests) / bandwidth] * requests
+    lane.storage_bases = tuple(bases)
     lane.s_jitter = storage.jitter_cv > 0
     if lane.s_jitter:
         s_sigma = lognormal_sigma(storage.jitter_cv)
@@ -288,8 +332,6 @@ def _build_lane(platform, fname: str) -> _Lane:
 
     # Reliability: thresholds and draw gates, mirroring ReliabilityModel.
     provider = platform.provider
-    enabled = platform.simulation.enable_failures
-    lane.rel_take = state.reliability._rng.take if enabled else None
     lane.rel_dynamic = memory_mb == DYNAMIC_MEMORY
     lane.rel_strict = provider in ReliabilityModel._STRICT_MEMORY_PROVIDERS
     lane.rel_lenient_threshold = memory_mb * 1.5
@@ -300,22 +342,16 @@ def _build_lane(platform, fname: str) -> _Lane:
 
     # Gateway, payload, response and network constants.
     invocation_profile = platform._invocation_profile
-    lane.gw_block = state.gateway_stream
     lane.http_base = invocation_profile.http_gateway_s
     lane.sdk_base = invocation_profile.sdk_overhead_s
     lane.payload_denom = invocation_profile.payload_bandwidth_mbps * 1024 * 1024
-    from ..simulator.platform_sim import _EMPTY_PAYLOAD_BYTES
-
     lane.empty_upload = _EMPTY_PAYLOAD_BYTES / lane.payload_denom
     lane.response_download_s = profile.output_bytes / (
         invocation_profile.response_bandwidth_mbps * 1024 * 1024
     )
-    network = state.network
-    lane.req_base = network._request_base
-    lane.resp_base = network._response_base
-    lane.net_block = network._rng if network.profile.jitter_scale_s > 0 else None
+    lane.req_base = state.network._request_base
+    lane.resp_base = state.network._response_base
     lane.sp_p = platform._spurious_probability
-    lane.sp_take = state.spurious_stream.take if lane.sp_p > 0 else None
 
     # Billing constants (the static components go through the billing
     # model's own cache so the floats are byte-for-byte the scalar path's).
@@ -345,24 +381,7 @@ def _build_lane(platform, fname: str) -> _Lane:
             for success in (False, True)
         }
     lane.statics = statics
-
-    # Provider-log buffers (materialised into state.history after the loop).
-    lane.state = state
-    lane.h_pt = []
-    lane.h_used = []
-    lane.h_cost = []
-    lane.h_cold = []
-    lane.h_success = []
-    lane.h_ts = []
-
-    lane.lane_idx = -1
-    lane.acc = None
-    lane.n = 0
-    lane.n_cold = 0
-    lane.n_fail = 0
-    lane.cost_buf = []
-    lane.client_buf = []
-    return lane
+    return tuple(getattr(lane, name) for name in _TEMPLATE_SLOTS)
 
 
 def _jitter_params(cv: float) -> tuple[float, float] | None:
@@ -377,23 +396,33 @@ def _jitter_params(cv: float) -> tuple[float, float] | None:
     return (-(sigma**2) / 2.0, sigma)
 
 
-def _flush_lane(lane: _Lane) -> None:
-    """Fold buffered per-lane stats into its _FunctionAccumulator."""
-    acc = lane.acc
-    acc.invocations += lane.n
-    acc.executed += lane.n
-    acc.cold_starts += lane.n_cold
-    acc.failures += lane.n_fail
-    total = acc.total_cost_usd
-    for value in lane.cost_buf:
-        total += value
-    acc.total_cost_usd = total
-    acc.client_time.add_many(lane.client_buf)
-    lane.n = 0
-    lane.n_cold = 0
-    lane.n_fail = 0
-    lane.cost_buf.clear()
-    lane.client_buf.clear()
+def _storage_time(lane: _Lane, contention: bool) -> float:
+    """The storage part of one invocation (``ComputeModel.storage_time``).
+
+    One ``size=k`` lognormal draw serves the jitters of all ``k`` transfers
+    (reads, then writes): it consumes the stream exactly like ``k`` scalar
+    draws, the batch rule of :mod:`repro.columnar.draws`.  The durations
+    add up in transfer order, so the sum is the scalar one bit for bit.
+    """
+    bases = lane.storage_bases
+    total = 0.0
+    if lane.s_jitter:
+        jitters = lane.sto_lognormal(lane.s_mean, lane.s_sigma, len(bases)).tolist()
+        if contention:
+            slowdown = lane.contention_slowdown
+            for base, jitter in zip(bases, jitters):
+                total += base * jitter * slowdown
+        else:
+            for base, jitter in zip(bases, jitters):
+                total += base * jitter
+    elif contention:
+        slowdown = lane.contention_slowdown
+        for base in bases:
+            total += base * slowdown
+    else:
+        for base in bases:
+            total += base
+    return total
 
 
 def _flush_history(lanes: dict, retention: int | None) -> None:
@@ -406,37 +435,25 @@ def _flush_history(lanes: dict, retention: int | None) -> None:
     from ..simulator.platform_sim import _LogEntry
 
     for lane in lanes.values():
-        h_pt = lane.h_pt
-        if retention is not None and len(h_pt) > retention:
-            start = len(h_pt) - retention
-        else:
-            start = 0
-        history = lane.state.history
+        log = lane.log
+        start = 0
+        if retention is not None and len(log) > retention * _LOG_FIELDS:
+            start = len(log) - retention * _LOG_FIELDS
+        append = lane.state.history.append
         fname = lane.fname
-        h_used = lane.h_used
-        h_cost = lane.h_cost
-        h_cold = lane.h_cold
-        h_success = lane.h_success
-        h_ts = lane.h_ts
-        append = history.append
-        for i in range(start, len(h_pt)):
+        for i in range(start, len(log), _LOG_FIELDS):
             append(
                 _LogEntry(
-                    function_name=fname,
-                    provider_time_s=h_pt[i],
-                    memory_used_mb=h_used[i],
-                    cost_usd=h_cost[i],
-                    start_type=_COLD if h_cold[i] else _WARM,
-                    success=h_success[i],
-                    timestamp=h_ts[i],
+                    fname,
+                    log[i],
+                    log[i + 1],
+                    log[i + 2],
+                    _COLD if log[i + 3] else _WARM,
+                    log[i + 4],
+                    log[i + 5],
                 )
             )
-        lane.h_pt = []
-        lane.h_used = []
-        lane.h_cost = []
-        lane.h_cold = []
-        lane.h_success = []
-        lane.h_ts = []
+        lane.log = []
 
 
 def _replay(
@@ -456,7 +473,7 @@ def _replay(
     clock = platform.clock
     base = clock.now()
     retention = platform.simulation.log_retention
-    history_cap = None if retention is None else retention * _HISTORY_SLACK
+    history_cap = None if retention is None else retention * _HISTORY_SLACK * _LOG_FIELDS
     provider = platform.provider
     apply_eviction = platform.eviction_policy.apply
     observer = platform._observer
@@ -466,6 +483,7 @@ def _replay(
     position_iter = iter(positions) if positions is not None else itertools.count()
 
     lanes: dict[str, _Lane] = {}
+    templates: dict = {}
     #: Lanes whose pool saw an eviction since the last prune interval (dict
     #: used as an ordered set).  Pruning only these keeps the interval cost
     #: O(dirty) instead of O(deployed functions) — the difference between
@@ -548,7 +566,7 @@ def _replay(
             fname = request.function_name
             lane = lanes.get(fname)
             if lane is None:
-                lane = lanes[fname] = _build_lane(platform, fname)
+                lane = lanes[fname] = _build_lane(platform, fname, templates)
                 if record_mode:
                     lane.lane_idx = block.add_lane(
                         LaneMeta(
@@ -561,9 +579,7 @@ def _replay(
                         )
                     )
                 elif fold_mode:
-                    lane.acc = accumulator.per_function[lane.fname] = _FunctionAccumulator(
-                        lane.fname
-                    )
+                    lane.slot = accumulator.slot(lane.fname)
 
             in_flight = len(completions)
 
@@ -599,7 +615,7 @@ def _replay(
                         break
                 if container is None:
                     cold = True
-                    container_id = lane.next_container_id()
+                    container_id = lane.pool.next_container_id()
                     container = Container(
                         function_name=lane.fname,
                         function_version=lane.version,
@@ -607,7 +623,7 @@ def _replay(
                         created_at=now,
                         container_id=container_id,
                     )
-                    lane.pool_add(container)
+                    lane.pool.add(container)
                     if observer is not None:
                         observer.on_container_create(lane.fname, container_id, now)
                 else:
@@ -633,39 +649,7 @@ def _replay(
             else:
                 compute_t = lane.compute_base * float(lane.c_lognormal(jit[0], jit[1]))
             contention = lane.sto_random() < lane.contention_p
-            storage_t = 0.0
-            if lane.read_on:
-                read_base = lane.read_base
-                if lane.s_jitter:
-                    s_mean = lane.s_mean
-                    s_sigma = lane.s_sigma
-                    for _ in range(lane.read_requests):
-                        duration = read_base * float(lane.sto_lognormal(s_mean, s_sigma))
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
-                else:
-                    for _ in range(lane.read_requests):
-                        duration = read_base
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
-            if lane.write_on:
-                write_base = lane.write_base
-                if lane.s_jitter:
-                    s_mean = lane.s_mean
-                    s_sigma = lane.s_sigma
-                    for _ in range(lane.write_requests):
-                        duration = write_base * float(lane.sto_lognormal(s_mean, s_sigma))
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
-                else:
-                    for _ in range(lane.write_requests):
-                        duration = write_base
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
+            storage_t = _storage_time(lane, contention) if lane.storage_bases else 0.0
             benchmark_time = compute_t + storage_t
             if cold:
                 cold_init_s = lane.cold_init_time(lane.profile, lane.memory_mb, lane.package_mb)
@@ -812,20 +796,10 @@ def _replay(
                 last_finish = finished_at
 
             # Provider log (materialised after the loop).
-            lane.h_pt.append(provider_time_s)
-            lane.h_used.append(memory_used)
-            lane.h_cost.append(cost_total)
-            lane.h_cold.append(cold)
-            lane.h_success.append(success)
-            lane.h_ts.append(finished_at)
-            if history_cap is not None and len(lane.h_pt) > history_cap:
-                cut = len(lane.h_pt) - retention
-                del lane.h_pt[:cut]
-                del lane.h_used[:cut]
-                del lane.h_cost[:cut]
-                del lane.h_cold[:cut]
-                del lane.h_success[:cut]
-                del lane.h_ts[:cut]
+            log = lane.log
+            log += (provider_time_s, memory_used, cost_total, cold, success, finished_at)
+            if history_cap is not None and len(log) > history_cap:
+                del log[: len(log) - retention * _LOG_FIELDS]
 
             request_index = next(position_iter)
 
@@ -851,7 +825,6 @@ def _replay(
             elif fold_mode:
                 if accumulator.first_submitted is None:
                     accumulator.first_submitted = now
-                lane.n += 1
                 if cold:
                     lane.n_cold += 1
                 if not success:
@@ -859,7 +832,12 @@ def _replay(
                 lane.cost_buf.append(cost_total)
                 lane.client_buf.append(client_time_s)
                 if len(lane.client_buf) >= _FOLD_BATCH:
-                    _flush_lane(lane)
+                    accumulator.add_many(
+                        lane.slot, lane.n_cold, lane.n_fail, lane.cost_buf, lane.client_buf
+                    )
+                    lane.n_cold = lane.n_fail = 0
+                    lane.cost_buf = []
+                    lane.client_buf = []
             else:
                 emit(
                     InvocationRecord(
@@ -919,11 +897,13 @@ def _replay(
         engine.last_peak_in_flight = peak
         while completions:
             done = heappop(completions)
-            done[2].release(done[3])
+            done[2].pool.release(done[3])
         if fold_mode:
             for lane in lanes.values():
                 if lane.client_buf:
-                    _flush_lane(lane)
+                    accumulator.add_many(
+                        lane.slot, lane.n_cold, lane.n_fail, lane.cost_buf, lane.client_buf
+                    )
             if lanes:
                 accumulator.last_finished = last_finish
         _flush_history(lanes, retention)

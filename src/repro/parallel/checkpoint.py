@@ -41,8 +41,9 @@ from .plan import ScenarioShard, TraceShard, WorkflowShard
 from .snapshot import PlatformSnapshot
 
 #: Bumped whenever the checkpoint file or fingerprint layout changes, or
-#: the pickled layout of an outcome does (2: reservoirs defer their tags).
-_FORMAT_VERSION = 2
+#: the pickled layout of an outcome does (2: reservoirs defer their tags;
+#: 3: streaming accumulators pickle as row-form flat arrays).
+_FORMAT_VERSION = 3
 
 _CHECKPOINT_NAME = re.compile(r"^shard_(\d{5})\.ckpt$")
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -231,24 +231,39 @@ def _execute(
                 on_complete(outcome)
             outcomes.append(outcome)
         return outcomes, None
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(shards)), mp_context=_mp_context()
-    ) as pool:
-        future_map = {
-            pool.submit(worker, snapshot, shard, keep_records): shard for shard in shards
-        }
+    max_workers = min(workers, len(shards))
+    with ProcessPoolExecutor(max_workers=max_workers, mp_context=_mp_context()) as pool:
+        # Shards are handed to the pool as earlier ones complete, never more
+        # than one beyond the worker count: the pool moves whatever it holds
+        # into its call queue on its own schedule, where a shard can no
+        # longer be cancelled, so only shards never submitted are certain
+        # not to start after a failure.
+        pending = iter(shards)
+        running: dict = {}
+
+        def submit_next() -> None:
+            shard = next(pending, None)
+            if shard is not None:
+                running[pool.submit(worker, snapshot, shard, keep_records)] = shard
+
+        for _ in range(max_workers + 1):
+            submit_next()
         completed: dict[int, object] = {}
         try:
-            for future in as_completed(future_map):
-                outcome = future.result()
-                if on_complete is not None:
-                    on_complete(outcome)
-                completed[future_map[future].index] = outcome
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    shard = running.pop(future)
+                    outcome = future.result()
+                    if on_complete is not None:
+                        on_complete(outcome)
+                    completed[shard.index] = outcome
+                    submit_next()
         except BaseException:
             # Fail fast: a doomed merge cannot use the remaining shards, so
             # don't let them burn wall-clock.  Running shards finish their
-            # current task; queued ones never start.
-            for future in future_map:
+            # current task; the rest never start.
+            for future in running:
                 future.cancel()
             raise
         return [completed[shard.index] for shard in shards], None

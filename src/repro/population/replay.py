@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from ..parallel.plan import PopulationShard, ShardPlanner
 from ..parallel.supervisor import SupervisorConfig
 from ..utils.clock import VirtualClock
 from ..workload.engine import WorkloadEngine, WorkloadResult, _ReplayAccumulator
+from .spec import FunctionRecipe
 
 
 @dataclass(frozen=True)
@@ -143,20 +144,20 @@ def _resolve_memory(limits, requested_mb: int) -> int:
     return int(min(limits.memory_max_mb, max(limits.memory_min_mb, requested_mb)))
 
 
-def deploy_population(platform, population, member_indices, seed: int) -> int:
+def deploy_population(platform, recipes: Iterable[FunctionRecipe]) -> int:
     """Deploy population members onto ``platform``; returns the count.
 
-    Code packages are built once per distinct app profile (packaging runs
-    the benchmark registry and size validation — per-function packaging of
-    a million members would dominate deployment).  Each member's requested
-    memory is resolved against the provider's limits via
-    :func:`_resolve_memory`.
+    ``recipes`` are the members' :class:`~repro.population.spec.FunctionRecipe`
+    objects (``population.recipe(index, seed)``).  Code packages are built
+    once per distinct app profile (packaging runs the benchmark registry and
+    size validation — per-function packaging of a million members would
+    dominate deployment).  Each member's requested memory is resolved
+    against the provider's limits via :func:`_resolve_memory`.
     """
     packages: dict[tuple[str, Any], Any] = {}
     region = DEFAULT_REGIONS[platform.provider]
     deployed = 0
-    for index in member_indices:
-        recipe = population.recipe(int(index), seed)
+    for recipe in recipes:
         profile = recipe.profile
         key = (profile.benchmark, profile.language)
         package = packages.get(key)
@@ -175,35 +176,30 @@ def deploy_population(platform, population, member_indices, seed: int) -> int:
 
 
 def _shard_request_stream(
-    population, seed: int, active: list[int], arrivals: list[np.ndarray]
+    recipes: list[FunctionRecipe], arrivals: list[np.ndarray]
 ) -> Iterator[InvocationRequest]:
     """Lazily yield the shard's merged, time-sorted request stream.
 
-    Per-member arrival arrays are concatenated in ascending member order
-    and merged with one stable ``argsort`` — exactly the tie order of the
-    serial scenario path's stable heap merge (equal offsets resolve to the
-    lower source index, and each member's offsets are already sorted).
+    ``recipes[i]`` drives the member whose arrival offsets are
+    ``arrivals[i]``, members in ascending index order.  The arrival arrays
+    are concatenated and merged with one stable ``argsort`` — exactly the
+    tie order of the serial scenario path's stable heap merge (equal
+    offsets resolve to the lower member index, and each member's offsets
+    are already sorted).
     """
     counts = np.array([offsets.size for offsets in arrivals], dtype=np.int64)
     offsets = np.concatenate(arrivals)
-    member_of = np.repeat(np.arange(len(active), dtype=np.int64), counts)
+    member_of = np.repeat(np.arange(len(recipes), dtype=np.int64), counts)
     order = np.argsort(offsets, kind="stable")
-    offsets = offsets[order]
-    member_of = member_of[order]
-    recipes = [population.recipe(index, seed) for index in active]
-    names = [recipe.function_name for recipe in recipes]
-    payloads = [dict(recipe.payload) for recipe in recipes]
-    payload_bytes = [int(recipe.payload_bytes) for recipe in recipes]
-    triggers = [recipe.trigger for recipe in recipes]
-    for j in range(offsets.shape[0]):
-        member = int(member_of[j])
-        yield InvocationRequest(
-            function_name=names[member],
-            payload=payloads[member],
-            payload_bytes=payload_bytes[member],
-            trigger=triggers[member],
-            submitted_at=float(offsets[j]),
-        )
+    # Requests are built positionally: (function_name, payload,
+    # payload_bytes, trigger, submitted_at).
+    members = [
+        (recipe.function_name, dict(recipe.payload), int(recipe.payload_bytes), recipe.trigger)
+        for recipe in recipes
+    ]
+    for member, submitted_at in zip(member_of[order].tolist(), offsets[order].tolist()):
+        name, payload, payload_bytes, trigger = members[member]
+        yield InvocationRequest(name, payload, payload_bytes, trigger, submitted_at)
 
 
 def _replay_population_shard(
@@ -232,7 +228,8 @@ def _replay_population_shard(
     # Members with zero arrivals are never deployed: deployment is O(active),
     # and the name-keyed stream derivation guarantees their absence changes
     # nothing another member draws.
-    deploy_population(platform, population, active, shard.seed)
+    recipes = [population.recipe(index, shard.seed) for index in active]
+    deploy_population(platform, recipes)
     if not active:
         return TraceShardOutcome(
             shard_index=shard.index,
@@ -241,7 +238,7 @@ def _replay_population_shard(
             peak_in_flight=0,
         )
     engine = WorkloadEngine(platform)
-    requests = _shard_request_stream(population, shard.seed, active, arrivals)
+    requests = _shard_request_stream(recipes, arrivals)
     accumulator = engine.replay(requests, keep_records=False)
     return TraceShardOutcome(
         shard_index=shard.index,

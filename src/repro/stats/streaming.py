@@ -390,9 +390,7 @@ class StreamingSummary:
         reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     ):
         self.moments = StreamingMoments()
-        wanted = dict.fromkeys(float(p) for p in percentiles)
-        wanted.setdefault(50.0)  # the median is always reported
-        self._percentiles = tuple(wanted)
+        self._percentiles = _tracked(percentiles)
         self._reservoir = MergeableReservoir(reservoir_capacity, key=key, seed=seed)
 
     @property
@@ -441,20 +439,31 @@ class StreamingSummary:
         # One batched reservoir query covers the median too: __init__ and
         # merge() both guarantee 50.0 is among the tracked percentiles.
         wanted = self._percentiles
-        return self._distribution(dict(zip(wanted, self._reservoir.percentiles(wanted))))
+        return _distribution(self.moments, dict(zip(wanted, self._reservoir.percentiles(wanted))))
 
-    def _distribution(self, estimates: dict[float, float]) -> DistributionSummary:
-        moments = self.moments
-        return DistributionSummary(
-            count=moments.count,
-            mean=moments.mean,
-            std=moments.std,
-            minimum=moments.minimum,
-            maximum=moments.maximum,
-            median=estimates[50.0],
-            percentiles=estimates,
-            confidence_intervals={},
-        )
+
+def _tracked(percentiles: Sequence[float]) -> tuple[float, ...]:
+    """The percentiles a summary reports: ``percentiles`` plus the median."""
+    wanted = dict.fromkeys(float(p) for p in percentiles)
+    wanted.setdefault(50.0)  # the median is always reported
+    return tuple(wanted)
+
+
+#: What a default :class:`StreamingSummary` reports.
+_DEFAULT_TRACKED = _tracked(DEFAULT_PERCENTILES)
+
+
+def _distribution(moments: StreamingMoments, estimates: dict[float, float]) -> DistributionSummary:
+    return DistributionSummary(
+        count=moments.count,
+        mean=moments.mean,
+        std=moments.std,
+        minimum=moments.minimum,
+        maximum=moments.maximum,
+        median=estimates[50.0],
+        percentiles=estimates,
+        confidence_intervals={},
+    )
 
 
 #: Values (rows x kept samples) per batched percentile call of
@@ -463,8 +472,17 @@ class StreamingSummary:
 _BATCH_CELLS = 1 << 16
 
 
-def summarize_many(summaries: Sequence[StreamingSummary]) -> list[DistributionSummary]:
+def summarize_many(
+    summaries: Sequence[StreamingSummary | list[float]],
+) -> list[DistributionSummary]:
     """:meth:`StreamingSummary.to_summary` of many summaries, bit-identical.
+
+    A plain list of values stands for a default ``StreamingSummary`` that
+    ingested exactly those values in list order and has not overflowed its
+    reservoir (the row form of the replay accumulator): its moments come
+    from :meth:`StreamingMoments.add_many` over the list — the recurrence
+    ``add`` would have run, in the same order — and its percentiles from
+    the list itself, which is what the untagged reservoir would hold.
 
     Summaries are grouped by (kept sample count, tracked percentiles) and
     each group is answered by one ``np.percentile(matrix, q, axis=1)``
@@ -474,20 +492,32 @@ def summarize_many(summaries: Sequence[StreamingSummary]) -> list[DistributionSu
     ``_BATCH_CELLS`` values, so the matrices stay small on
     million-function merges.
     """
+    moments: list[StreamingMoments] = []
+    samples: list[list[float]] = []
     groups: dict[tuple[int, tuple[float, ...]], list[int]] = {}
     for position, summary in enumerate(summaries):
-        if summary.moments.count == 0:
+        if type(summary) is list:
+            row = StreamingMoments()
+            row.add_many(summary)
+            sample = summary
+            wanted = _DEFAULT_TRACKED
+        else:
+            row = summary.moments
+            sample = summary._reservoir._sample()
+            wanted = summary._percentiles
+        if row.count == 0:
             raise ConfigurationError("cannot summarize an empty sample set")
-        size = summary._reservoir.kept()
-        groups.setdefault((size, summary._percentiles), []).append(position)
-    estimates: list[dict[float, float] | None] = [None] * len(summaries)
+        moments.append(row)
+        samples.append(sample)
+        groups.setdefault((len(sample), wanted), []).append(position)
+    estimates: list[dict[float, float] | None] = [None] * len(samples)
     for (size, wanted), positions in groups.items():
         which = list(wanted)
         rows = max(1, _BATCH_CELLS // size)
         for start in range(0, len(positions), rows):
             chunk = positions[start : start + rows]
-            matrix = np.array([summaries[p]._reservoir._sample() for p in chunk], dtype=float)
+            matrix = np.array([samples[p] for p in chunk], dtype=float)
             table = np.percentile(matrix, which, axis=1).T.tolist()
             for position, row in zip(chunk, table):
                 estimates[position] = dict(zip(wanted, row))
-    return [summary._distribution(estimate) for summary, estimate in zip(summaries, estimates)]
+    return [_distribution(row, estimate) for row, estimate in zip(moments, estimates)]

@@ -84,12 +84,14 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+import numpy as np
+
 from ..concurrency import AdmissionQueue, QueuedInvocation
 from ..config import InvocationOutcome, Provider, StartType, TriggerType
 from ..exceptions import ConfigurationError
 from ..faas.billing import CostBreakdown
 from ..faas.invocation import InvocationRecord, InvocationRequest
-from ..stats.streaming import StreamingSummary, summarize_many
+from ..stats.streaming import DEFAULT_RESERVOIR_CAPACITY, StreamingSummary, summarize_many
 from ..stats.summary import DistributionSummary, summarize
 from .trace import MergedWorkloadTrace, WorkloadTrace
 
@@ -192,151 +194,181 @@ class FunctionWorkloadSummary:
         return row
 
 
-class _FunctionAccumulator:
-    """Streaming per-function aggregates (O(1) state per function).
+#: Integer counters of an accumulator row, by position in the row.
+_N_COUNTERS = 12
+(
+    _INVOCATIONS, _COLD_STARTS, _FAILURES, _EXECUTED, _THROTTLED, _DROPPED,
+    _THROTTLE_EVENTS, _RETRIES, _QUEUED, _FAULTED, _SHORT_CIRCUITED, _HEDGES,
+) = range(_N_COUNTERS)
 
-    Mergeable: shard accumulators for the same function fold together with
-    :meth:`merge` — counts and cost sums exactly, latency distributions via
-    :meth:`repro.stats.streaming.StreamingSummary.merge` (exact when one
-    side is empty, which is the per-function sharding case).
+_THROTTLED_OUTCOME = InvocationOutcome.THROTTLED
+_DROPPED_OUTCOME = InvocationOutcome.DROPPED
+_FAULTED_OUTCOME = InvocationOutcome.FAULTED
+_SHORT_CIRCUITED_OUTCOME = InvocationOutcome.SHORT_CIRCUITED
+_COLD_START = StartType.COLD
+
+
+def _counter_total(position: int) -> property:
+    """A replay total: one integer counter summed over every row."""
+    return property(lambda self: sum(row[position] for row in self.counts))
+
+
+class _ReplayAccumulator:
+    """Whole-replay streaming aggregates, one row per function (O(1) per row).
+
+    Rows live in columns indexed by the function's *slot* (first-appearance
+    order): ``names``, ``counts`` (one list of the twelve integer counters
+    per row, positions ``_INVOCATIONS`` … ``_HEDGES``), the ``cost`` and
+    ``queue_delay`` float sums, and the client-time ``samples``.
+
+    A sample is a plain list of client times in ingestion order while it
+    holds at most ``DEFAULT_RESERVOIR_CAPACITY`` values; its moments and
+    percentiles are computed when summarised
+    (:func:`~repro.stats.streaming.summarize_many`).  A row that overflows,
+    or whose function is present on both sides of a :meth:`merge`, is promoted
+    to a :class:`~repro.stats.streaming.StreamingSummary` that ingests the
+    list through ``add_many`` — the state that summary would have had if it
+    had ingested every value on arrival.  Under function-disjoint sharding
+    no row ever merges, so shards ship plain columns.
+
+    The replay totals are reduced from the rows once at the end — only the
+    span needs whole-replay tracking per record.  Float totals reduce in
+    sorted function-name order, so a merge of per-shard accumulators
+    (:meth:`merge`) produces byte-identical totals to a serial replay.
+    Pickled, the rows travel as flat arrays (see :meth:`__getstate__`).
     """
 
-    __slots__ = (
-        "function_name", "invocations", "cold_starts", "failures", "total_cost_usd",
-        "client_time", "executed", "throttled", "dropped", "throttle_events",
-        "retries", "queued", "queue_delay_s", "faulted", "short_circuited", "hedges",
-    )
+    def __init__(self) -> None:
+        self.first_submitted: float | None = None
+        self.last_finished: float | None = None
+        self.names: list[str] = []
+        self.slots: dict[str, int] = {}
+        self.counts: list[list[int]] = []
+        self.cost: list[float] = []
+        self.queue_delay: list[float] = []
+        self.samples: list[list[float] | StreamingSummary] = []
 
-    def __init__(self, function_name: str):
-        self.function_name = function_name
-        self.invocations = 0
-        self.cold_starts = 0
-        self.failures = 0
-        self.total_cost_usd = 0.0
-        self.client_time = StreamingSummary(key=function_name)
-        self.executed = 0
-        self.throttled = 0
-        self.dropped = 0
-        self.throttle_events = 0
-        self.retries = 0
-        self.queued = 0
-        self.queue_delay_s = 0.0
-        self.faulted = 0
-        self.short_circuited = 0
-        self.hedges = 0
+    def slot(self, function_name: str) -> int:
+        """``function_name``'s row, appended empty on first use."""
+        slot = self.slots.get(function_name)
+        if slot is None:
+            slot = self.slots[function_name] = len(self.names)
+            self.names.append(function_name)
+            self.counts.append([0] * _N_COUNTERS)
+            self.cost.append(0.0)
+            self.queue_delay.append(0.0)
+            self.samples.append([])
+        return slot
+
+    def _promote(self, slot: int) -> StreamingSummary:
+        """Row ``slot``'s sample as a :class:`StreamingSummary` (promoting a list)."""
+        sample = self.samples[slot]
+        if type(sample) is list:
+            summary = StreamingSummary(key=self.names[slot])
+            summary.add_many(sample)
+            self.samples[slot] = sample = summary
+        return sample
+
+    def _add_client_times(self, slot: int, values: list[float]) -> None:
+        sample = self.samples[slot]
+        if type(sample) is list:
+            if len(sample) + len(values) <= DEFAULT_RESERVOIR_CAPACITY:
+                sample.extend(values)
+                return
+            sample = self._promote(slot)
+        sample.add_many(values)
 
     def add(self, record: InvocationRecord) -> None:
-        self.invocations += 1
+        """Fold one terminal record (the generator loop's sink)."""
+        if self.first_submitted is None or record.submitted_at < self.first_submitted:
+            self.first_submitted = record.submitted_at
+        if self.last_finished is None or record.finished_at > self.last_finished:
+            self.last_finished = record.finished_at
+        slot = self.slots.get(record.function_name)
+        if slot is None:
+            slot = self.slot(record.function_name)
+        row = self.counts[slot]
+        row[_INVOCATIONS] += 1
         outcome = record.outcome
         if not record.executed:
             # Non-executed terminal records usually cost nothing, but a
             # stale-resubmission saga that exhausted its budget against a
             # 429/outage/breaker rejection still billed the executions the
             # client timed out on — the terminal record carries them.
-            self.total_cost_usd += record.cost.total
-            self.hedges += record.hedges
-        if outcome is InvocationOutcome.THROTTLED:
+            self.cost[slot] += record.cost.total
+            row[_HEDGES] += record.hedges
+        if outcome is _THROTTLED_OUTCOME:
             # Every attempt of a finally-throttled request got a 429.
-            self.throttled += 1
-            self.throttle_events += record.attempts
-            self.retries += record.attempts - 1
+            row[_THROTTLED] += 1
+            row[_THROTTLE_EVENTS] += record.attempts
+            row[_RETRIES] += record.attempts - 1
             return
-        if outcome is InvocationOutcome.DROPPED:
-            self.dropped += 1
+        if outcome is _DROPPED_OUTCOME:
+            row[_DROPPED] += 1
             return
-        if outcome is InvocationOutcome.FAULTED:
-            self.faulted += 1
-            self.retries += record.attempts - 1
+        if outcome is _FAULTED_OUTCOME:
+            row[_FAULTED] += 1
+            row[_RETRIES] += record.attempts - 1
             return
-        if outcome is InvocationOutcome.SHORT_CIRCUITED:
-            self.short_circuited += 1
-            self.retries += record.attempts - 1
+        if outcome is _SHORT_CIRCUITED_OUTCOME:
+            row[_SHORT_CIRCUITED] += 1
+            row[_RETRIES] += record.attempts - 1
             return
-        self.executed += 1
-        self.hedges += record.hedges
+        row[_EXECUTED] += 1
+        row[_HEDGES] += record.hedges
         if record.attempts > 1:
             # Executed after backoff: all prior attempts were rejected
             # (429s, or fault responses once the fault plane is active).
-            self.throttle_events += record.attempts - 1
-            self.retries += record.attempts - 1
+            row[_THROTTLE_EVENTS] += record.attempts - 1
+            row[_RETRIES] += record.attempts - 1
         elif record.admission_delay_s > 0.0:
             # Single-attempt admission delay = time in the async queue.
-            self.queued += 1
-            self.queue_delay_s += record.admission_delay_s
-        if record.start_type is StartType.COLD:
-            self.cold_starts += 1
+            row[_QUEUED] += 1
+            self.queue_delay[slot] += record.admission_delay_s
+        if record.start_type is _COLD_START:
+            row[_COLD_STARTS] += 1
         if not record.success:
-            self.failures += 1
-        self.total_cost_usd += record.cost.total
-        self.client_time.add(record.client_time_s)
+            row[_FAILURES] += 1
+        self.cost[slot] += record.cost.total
+        sample = self.samples[slot]
+        if type(sample) is list and len(sample) < DEFAULT_RESERVOIR_CAPACITY:
+            sample.append(record.client_time_s)
+        else:
+            self._add_client_times(slot, [record.client_time_s])
 
-    def merge(self, other: "_FunctionAccumulator") -> None:
-        self.invocations += other.invocations
-        self.cold_starts += other.cold_starts
-        self.failures += other.failures
-        self.total_cost_usd += other.total_cost_usd
-        self.client_time.merge(other.client_time)
-        self.executed += other.executed
-        self.throttled += other.throttled
-        self.dropped += other.dropped
-        self.throttle_events += other.throttle_events
-        self.retries += other.retries
-        self.queued += other.queued
-        self.queue_delay_s += other.queue_delay_s
-        self.faulted += other.faulted
-        self.short_circuited += other.short_circuited
-        self.hedges += other.hedges
+    def add_many(
+        self,
+        slot: int,
+        cold_starts: int,
+        failures: int,
+        costs: list[float],
+        client_times: list[float],
+    ) -> None:
+        """Fold a batch of executed invocations of row ``slot`` (the columnar loop's sink).
 
-    def summary(self, client_time: DistributionSummary | None) -> FunctionWorkloadSummary:
-        """This function's summary around its (batched) client-time summary."""
-        return FunctionWorkloadSummary(
-            function_name=self.function_name,
-            invocations=self.invocations,
-            cold_starts=self.cold_starts,
-            failures=self.failures,
-            total_cost_usd=self.total_cost_usd,
-            client_time=client_time,
-            throttled=self.throttled,
-            dropped=self.dropped,
-            throttle_events=self.throttle_events,
-            retries=self.retries,
-            queued=self.queued,
-            queue_delay_s=self.queue_delay_s,
-            faulted=self.faulted,
-            short_circuited=self.short_circuited,
-            hedges=self.hedges,
-        )
-
-
-class _ReplayAccumulator:
-    """Whole-replay streaming aggregates: span plus per-function state.
-
-    The replay totals (invocations, cold starts, failures, cost) are summed
-    from the per-function accumulators once at the end — only the span
-    needs whole-replay tracking per record.  Float totals reduce in sorted
-    function-name order, so a merge of per-shard accumulators
-    (:meth:`merge`) produces byte-identical totals to a serial replay.
-    """
-
-    def __init__(self) -> None:
-        self.first_submitted: float | None = None
-        self.last_finished: float | None = None
-        self.per_function: dict[str, _FunctionAccumulator] = {}
-
-    def add(self, record: InvocationRecord) -> None:
-        if self.first_submitted is None or record.submitted_at < self.first_submitted:
-            self.first_submitted = record.submitted_at
-        if self.last_finished is None or record.finished_at > self.last_finished:
-            self.last_finished = record.finished_at
-        accumulator = self.per_function.get(record.function_name)
-        if accumulator is None:
-            accumulator = self.per_function[record.function_name] = _FunctionAccumulator(
-                record.function_name
-            )
-        accumulator.add(record)
+        ``costs`` and ``client_times`` hold one value per invocation in
+        stream order; the cost sum runs through them in that order, as
+        per-record :meth:`add` calls would.
+        """
+        row = self.counts[slot]
+        row[_INVOCATIONS] += len(costs)
+        row[_EXECUTED] += len(costs)
+        row[_COLD_STARTS] += cold_starts
+        row[_FAILURES] += failures
+        total = self.cost[slot]
+        for value in costs:
+            total += value
+        self.cost[slot] = total
+        self._add_client_times(slot, client_times)
 
     def merge(self, other: "_ReplayAccumulator") -> None:
-        """Fold a shard's accumulator into this one (sharded replay merge)."""
+        """Fold a shard's accumulator into this one (sharded replay merge).
+
+        Rows of functions new to this accumulator are appended as they are
+        (function-disjoint shards only ever concatenate columns); a
+        function present on both sides adds its counters and float sums and
+        merges its promoted samples with :meth:`StreamingSummary.merge`.
+        """
         if other.first_submitted is not None and (
             self.first_submitted is None or other.first_submitted < self.first_submitted
         ):
@@ -345,12 +377,78 @@ class _ReplayAccumulator:
             self.last_finished is None or other.last_finished > self.last_finished
         ):
             self.last_finished = other.last_finished
-        for fname, accumulator in other.per_function.items():
-            mine = self.per_function.get(fname)
+        slots = self.slots
+        if slots.keys().isdisjoint(other.names):
+            slots.update(zip(other.names, range(len(self.names), len(self.names) + len(other.names))))
+            self.names.extend(other.names)
+            self.counts.extend(other.counts)
+            self.cost.extend(other.cost)
+            self.queue_delay.extend(other.queue_delay)
+            self.samples.extend(other.samples)
+            return
+        for theirs, name in enumerate(other.names):
+            mine = slots.get(name)
             if mine is None:
-                self.per_function[fname] = accumulator
-            else:
-                mine.merge(accumulator)
+                mine = self.slot(name)
+                self.counts[mine] = other.counts[theirs]
+                self.samples[mine] = other.samples[theirs]
+                self.cost[mine] = other.cost[theirs]
+                self.queue_delay[mine] = other.queue_delay[theirs]
+                continue
+            row = self.counts[mine]
+            for position, value in enumerate(other.counts[theirs]):
+                row[position] += value
+            self.cost[mine] += other.cost[theirs]
+            self._promote(mine).merge(other._promote(theirs))
+            self.queue_delay[mine] += other.queue_delay[theirs]
+
+    def __getstate__(self) -> dict:
+        """Flat arrays: a counter matrix, float columns, samples as values plus offsets.
+
+        The counter matrix leaves out the counters that are zero in every
+        row (most of them outside controlled replays).  Promoted samples
+        (rare: overflowing functions) travel as :class:`StreamingSummary`
+        objects keyed by slot; their list entry is empty.  Floats and
+        integers round-trip exactly through float64/int64.
+        """
+        lists = [sample if type(sample) is list else () for sample in self.samples]
+        offsets = np.cumsum([0, *map(len, lists)], dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64).reshape(-1, _N_COUNTERS)
+        used = np.flatnonzero(counts.any(axis=0))
+        return {
+            "first_submitted": self.first_submitted,
+            "last_finished": self.last_finished,
+            "names": self.names,
+            "counters": used,
+            "counts": counts[:, used],
+            "cost": np.array(self.cost, dtype=np.float64),
+            "queue_delay": np.array(self.queue_delay, dtype=np.float64),
+            "values": np.fromiter(
+                itertools.chain.from_iterable(lists), np.float64, int(offsets[-1])
+            ),
+            "offsets": offsets,
+            "promoted": {
+                slot: sample
+                for slot, sample in enumerate(self.samples)
+                if type(sample) is not list
+            },
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.first_submitted = state["first_submitted"]
+        self.last_finished = state["last_finished"]
+        self.names = names = state["names"]
+        self.slots = dict(zip(names, range(len(names))))
+        counts = np.zeros((len(names), _N_COUNTERS), dtype=np.int64)
+        counts[:, state["counters"]] = state["counts"]
+        self.counts = counts.tolist()
+        self.cost = state["cost"].tolist()
+        self.queue_delay = state["queue_delay"].tolist()
+        values = state["values"].tolist()
+        offsets = state["offsets"].tolist()
+        self.samples = [values[start:end] for start, end in zip(offsets, offsets[1:])]
+        for slot, summary in state["promoted"].items():
+            self.samples[slot] = summary
 
     @property
     def span_s(self) -> float:
@@ -358,83 +456,67 @@ class _ReplayAccumulator:
             return 0.0
         return self.last_finished - self.first_submitted
 
-    def _ordered(self) -> list[_FunctionAccumulator]:
-        return [self.per_function[fname] for fname in sorted(self.per_function)]
+    def _ordered(self) -> list[int]:
+        """Slots in function-name order (the float reduction order)."""
+        return sorted(range(len(self.names)), key=self.names.__getitem__)
 
-    @property
-    def invocations(self) -> int:
-        return sum(acc.invocations for acc in self.per_function.values())
-
-    @property
-    def cold_starts(self) -> int:
-        return sum(acc.cold_starts for acc in self.per_function.values())
-
-    @property
-    def failures(self) -> int:
-        return sum(acc.failures for acc in self.per_function.values())
+    invocations = _counter_total(_INVOCATIONS)
+    cold_starts = _counter_total(_COLD_STARTS)
+    failures = _counter_total(_FAILURES)
+    executed = _counter_total(_EXECUTED)
+    throttled = _counter_total(_THROTTLED)
+    dropped = _counter_total(_DROPPED)
+    throttle_events = _counter_total(_THROTTLE_EVENTS)
+    retries = _counter_total(_RETRIES)
+    queued = _counter_total(_QUEUED)
+    faulted = _counter_total(_FAULTED)
+    short_circuited = _counter_total(_SHORT_CIRCUITED)
+    hedges = _counter_total(_HEDGES)
 
     @property
     def total_cost_usd(self) -> float:
         # Sorted-name reduction: the float sum is independent of function
         # first-appearance order, hence identical for serial and merged
         # sharded replays.
-        return sum(acc.total_cost_usd for acc in self._ordered())
-
-    @property
-    def executed(self) -> int:
-        return sum(acc.executed for acc in self.per_function.values())
-
-    @property
-    def throttled(self) -> int:
-        return sum(acc.throttled for acc in self.per_function.values())
-
-    @property
-    def dropped(self) -> int:
-        return sum(acc.dropped for acc in self.per_function.values())
-
-    @property
-    def throttle_events(self) -> int:
-        return sum(acc.throttle_events for acc in self.per_function.values())
-
-    @property
-    def retries(self) -> int:
-        return sum(acc.retries for acc in self.per_function.values())
-
-    @property
-    def queued(self) -> int:
-        return sum(acc.queued for acc in self.per_function.values())
-
-    @property
-    def faulted(self) -> int:
-        return sum(acc.faulted for acc in self.per_function.values())
-
-    @property
-    def short_circuited(self) -> int:
-        return sum(acc.short_circuited for acc in self.per_function.values())
-
-    @property
-    def hedges(self) -> int:
-        return sum(acc.hedges for acc in self.per_function.values())
+        cost = self.cost
+        return sum(cost[slot] for slot in self._ordered())
 
     @property
     def queue_delay_s(self) -> float:
         # Sorted-name reduction, as for costs: exact under sharded merge.
-        return sum(acc.queue_delay_s for acc in self._ordered())
+        queue_delay = self.queue_delay
+        return sum(queue_delay[slot] for slot in self._ordered())
 
     def summaries(self) -> dict[str, FunctionWorkloadSummary]:
         """Per-function summaries, with every latency percentile query batched."""
         ordered = self._ordered()
-        executed = [acc for acc in ordered if acc.executed]
+        counts = self.counts
+        executed = [slot for slot in ordered if counts[slot][_EXECUTED]]
         client_times = dict(
-            zip(
-                (acc.function_name for acc in executed),
-                summarize_many([acc.client_time for acc in executed]),
-            )
+            zip(executed, summarize_many([self.samples[slot] for slot in executed]))
         )
-        return {
-            acc.function_name: acc.summary(client_times.get(acc.function_name))
-            for acc in ordered
-        }
+        summaries = {}
+        for slot in ordered:
+            row = counts[slot]
+            name = self.names[slot]
+            summaries[name] = FunctionWorkloadSummary(
+                function_name=name,
+                invocations=row[_INVOCATIONS],
+                cold_starts=row[_COLD_STARTS],
+                failures=row[_FAILURES],
+                total_cost_usd=self.cost[slot],
+                client_time=client_times.get(slot),
+                throttled=row[_THROTTLED],
+                dropped=row[_DROPPED],
+                throttle_events=row[_THROTTLE_EVENTS],
+                retries=row[_RETRIES],
+                queued=row[_QUEUED],
+                queue_delay_s=self.queue_delay[slot],
+                faulted=row[_FAULTED],
+                short_circuited=row[_SHORT_CIRCUITED],
+                hedges=row[_HEDGES],
+            )
+        return summaries
 
 
 @dataclass

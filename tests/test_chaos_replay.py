@@ -255,11 +255,10 @@ def test_sigkill_midrun_resume_is_byte_identical(tmp_path):
     assert resumed.simulated_span_s == serial.simulated_span_s
 
 
-def test_streaming_resume_with_untagged_reservoirs_is_byte_identical(tmp_path):
-    """Checkpointed streaming shards carry reservoirs that never drew a tag;
-    resuming from them (every re-run shard is poisoned) merges to exactly
-    the serial streaming result."""
-    trace = _trace()
+def _resume_from_streaming_checkpoints(tmp_path, trace):
+    """Checkpoint a 3-shard streaming replay of ``trace``, then resume it
+    with every re-run shard poisoned, so the result comes from the
+    checkpoints alone.  Returns (checkpointed outcomes, resumed, serial)."""
     serial = _platform().run_workload(trace, keep_records=False)
     _platform().run_workload(
         trace, workers=3, backend="sequential", keep_records=False, checkpoint_dir=tmp_path
@@ -267,12 +266,6 @@ def test_streaming_resume_with_untagged_reservoirs_is_byte_identical(tmp_path):
     (directory,) = {path.parent for path in tmp_path.rglob("*.ckpt")}
     outcomes = CheckpointStore(tmp_path, directory.name).load()
     assert len(outcomes) == 3
-    reservoirs = [
-        acc.client_time._reservoir
-        for outcome in outcomes.values()
-        for acc in outcome.accumulator.per_function.values()
-    ]
-    assert reservoirs and all(r._pending is not None and r._rng is None for r in reservoirs)
     poisoned = SupervisorConfig(
         fault_injection=WorkerFaultInjection(
             {index: ShardFault("flaky", attempts=99) for index in range(3)}
@@ -292,6 +285,31 @@ def test_streaming_resume_with_untagged_reservoirs_is_byte_identical(tmp_path):
     assert repr(resumed.per_function()) == repr(serial.per_function())
     assert resumed.total_cost_usd.hex() == serial.total_cost_usd.hex()
     assert resumed.simulated_span_s.hex() == serial.simulated_span_s.hex()
+    return outcomes
+
+
+def test_streaming_resume_with_untagged_reservoirs_is_byte_identical(tmp_path):
+    """Checkpointed streaming shards carry row-form accumulators whose
+    client-time samples are plain lists (no reservoir, no tag drawn);
+    resuming from them merges to exactly the serial streaming result."""
+    outcomes = _resume_from_streaming_checkpoints(tmp_path, _trace())
+    samples = [
+        sample for outcome in outcomes.values() for sample in outcome.accumulator.samples
+    ]
+    assert samples and all(type(sample) is list and sample for sample in samples)
+
+
+def test_streaming_resume_with_promoted_rows_is_byte_identical(tmp_path):
+    """A function past the reservoir capacity checkpoints a promoted
+    (summary) row next to plain list rows; resuming merges to exactly the
+    serial streaming result."""
+    outcomes = _resume_from_streaming_checkpoints(tmp_path, _trace(duration_s=400.0))
+    kinds = {
+        type(sample).__name__
+        for outcome in outcomes.values()
+        for sample in outcome.accumulator.samples
+    }
+    assert kinds == {"list", "StreamingSummary"}
 
 
 def test_resume_ignores_corrupt_checkpoints(tmp_path):

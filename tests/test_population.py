@@ -217,7 +217,7 @@ class TestMemoryResolution:
     )
     def test_deploy_population_deploys_legal_configs(self, provider):
         platform = _platform(provider)
-        deployed = deploy_population(platform, SMALL, range(10), seed=42)
+        deployed = deploy_population(platform, [SMALL.recipe(index, 42) for index in range(10)])
         assert deployed == 10
         assert len(platform.functions()) == 10
 
@@ -226,7 +226,7 @@ class TestMemoryResolution:
 class TestPopulationReplay:
     def test_snapshot_refuses_deployed_or_kernel_platforms(self):
         platform = _platform()
-        deploy_population(platform, SMALL, [0], seed=42)
+        deploy_population(platform, [SMALL.recipe(0, 42)])
         with pytest.raises(ConfigurationError):
             PopulationSnapshot.capture(platform)
 
@@ -261,8 +261,9 @@ class TestPopulationReplay:
                 active.append(index)
                 arrivals.append(offsets)
         platform = _platform()
-        deploy_population(platform, SMALL, active, seed=42)
-        requests = _shard_request_stream(SMALL, 42, active, arrivals)
+        recipes = [SMALL.recipe(index, 42) for index in active]
+        deploy_population(platform, recipes)
+        requests = _shard_request_stream(recipes, arrivals)
         scalar = generator_run(platform, requests, keep_records=False)
         columnar = replay_population(_platform(), SMALL, workers=2)
         _assert_streaming_equal(scalar, columnar.result)
@@ -274,7 +275,7 @@ class TestPopulationReplay:
         dedicated = replay_population(_platform(), SMALL, workers=1)
         bridge_platform = _platform()
         deploy_population(
-            bridge_platform, SMALL, range(SMALL.n_functions), seed=42
+            bridge_platform, [SMALL.recipe(index, 42) for index in range(SMALL.n_functions)]
         )
         scenario = SMALL.scenario(seed=42)
         bridged = bridge_platform.run_workload(
