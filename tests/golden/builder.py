@@ -1,8 +1,9 @@
 """Shared machinery of the golden-trace regression fixtures.
 
-Two canned traces live next to this file; their exact replay summaries
+Canned traces live next to this file; their exact replay summaries
 (every provider, streaming mode, full float precision) are checked in as
-``expected_*.json``.  ``tests/test_golden_traces.py`` fails on *any* drift
+``expected_*.json``, together with a fan-out workflow replay synthesized
+from its recipe.  ``tests/test_golden_traces.py`` fails on *any* drift
 — a changed RNG derivation, a reordered float reduction, a scheduler tweak
 — so intentional changes must regenerate the fixtures with
 ``make regen-golden`` (which runs :func:`regenerate`) and commit the diff.
@@ -21,6 +22,7 @@ from repro.faults import FaultPlaneConfig, OutageWindow
 from repro.resilience import ResilienceConfig
 from repro.simulator.providers import create_platform
 from repro.utils.io import atomic_write_text
+from repro.workflows import standard_workflow, synthesize_workflow_arrivals
 from repro.workload import (
     BurstyArrivals,
     ConstantRateArrivals,
@@ -162,6 +164,84 @@ def summarize_storm_timeseries(trace: WorkloadTrace) -> dict:
     return document
 
 
+#: Fixture name of the uncontrolled fan-out/fan-in workflow golden.  Workflow
+#: replay always runs the generator loop behind the feedback request source,
+#: so this pins that loop's per-execution timing, critical-path
+#: decomposition and per-workflow aggregates at full float precision.
+WORKFLOW_NAME = "workflow"
+WORKFLOW_FAN_OUT = 8
+
+
+def workflow_arrivals() -> list:
+    spec, _ = standard_workflow("fanout", fan_out=WORKFLOW_FAN_OUT)
+    return synthesize_workflow_arrivals(spec, PoissonArrivals(2.0), duration_s=60.0, rng=77)
+
+
+def _summary_hex(distribution) -> dict:
+    return {
+        "count": distribution.count,
+        "mean": distribution.mean.hex(),
+        "std": distribution.std.hex(),
+        "min": distribution.minimum.hex(),
+        "max": distribution.maximum.hex(),
+        "median": distribution.median.hex(),
+        "p95": distribution.percentiles[95.0].hex(),
+    }
+
+
+def summarize_workflow(arrivals: list) -> dict:
+    """Replay the workflow arrivals per provider with every execution kept."""
+    _, functions = standard_workflow("fanout", fan_out=WORKFLOW_FAN_OUT)
+    document: dict = {"seed": GOLDEN_SEED, "executions": len(arrivals), "providers": {}}
+    for provider in PROVIDERS:
+        platform = create_platform(provider, SimulationConfig(seed=GOLDEN_SEED))
+        for function in functions:
+            deploy_benchmark(
+                platform,
+                function.benchmark,
+                memory_mb=function.memory_mb if platform.limits.memory_static else 0,
+                function_name=function.function_name,
+            )
+        result = platform.run_workflows(arrivals, keep_records=True)
+        executions = [
+            {
+                "execution": execution.execution_index,
+                "end_to_end_s": execution.end_to_end_s.hex(),
+                "compute_s": execution.compute_s.hex(),
+                "cold_start_s": execution.cold_start_s.hex(),
+                "trigger_propagation_s": execution.trigger_propagation_s.hex(),
+                "critical_path": list(execution.critical_path),
+                "invocations": execution.invocations,
+                "cold_starts": execution.cold_starts,
+                "failures": execution.failures,
+                "cost_usd": execution.cost_usd.hex(),
+            }
+            for execution in result.executions
+        ]
+        summaries = {
+            name: {
+                "executions": summary.executions,
+                "invocations": summary.invocations,
+                "cold_starts": summary.cold_starts,
+                "failures": summary.failures,
+                "skipped_stages": summary.skipped_stages,
+                "cost_usd": summary.cost_usd.hex(),
+                "compute_s_total": summary.compute_s_total.hex(),
+                "cold_start_s_total": summary.cold_start_s_total.hex(),
+                "trigger_propagation_s_total": summary.trigger_propagation_s_total.hex(),
+                "end_to_end": _summary_hex(summary.end_to_end),
+            }
+            for name, summary in sorted(result.per_workflow().items())
+        }
+        document["providers"][provider.value] = {
+            "peak_in_flight": result.peak_in_flight,
+            "simulated_span_s": result.simulated_span_s.hex(),
+            "executions": executions,
+            "summaries": summaries,
+        }
+    return document
+
+
 def trace_path(name: str) -> Path:
     return GOLDEN_DIR / f"trace_{name}.json"
 
@@ -262,6 +342,11 @@ def regenerate() -> list[Path]:
         json.dumps(summarize_storm_timeseries(trace), indent=2) + "\n",
     )
     written.append(expected_path(STORM_TIMESERIES_NAME))
+    atomic_write_text(
+        expected_path(WORKFLOW_NAME),
+        json.dumps(summarize_workflow(workflow_arrivals()), indent=2) + "\n",
+    )
+    written.append(expected_path(WORKFLOW_NAME))
     return written
 
 

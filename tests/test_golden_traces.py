@@ -134,3 +134,19 @@ def test_golden_storm_generator_loop_matches_fixture():
     assert actual == expected, (
         "generator-loop replay of the storm golden diverged from the fixture"
     )
+
+
+def test_golden_workflow_summary_has_not_drifted():
+    """An uncontrolled fan-out/fan-in workflow replay is pinned per
+    execution: end-to-end time, critical-path components and the
+    per-workflow summary, all as ``float.hex``, on every provider."""
+    expected_file = builder.expected_path(builder.WORKFLOW_NAME)
+    assert expected_file.exists(), "golden workflow fixture missing — run `make regen-golden`"
+    actual = builder.summarize_workflow(builder.workflow_arrivals())
+    expected = json.loads(expected_file.read_text(encoding="utf-8"))
+    assert actual == expected, (
+        "golden workflow replay drifted; if intentional, run `make regen-golden` "
+        "and commit the regenerated fixture"
+    )
+    for summary in actual["providers"].values():
+        assert summary["summaries"]["fanout"]["executions"] == actual["executions"]
