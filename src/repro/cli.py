@@ -12,6 +12,7 @@ similar entry point::
     sebs-repro faas-vs-iaas              # Table 5 comparison
     sebs-repro workload                  # trace-driven workload replay
     sebs-repro workflow                  # DAG workflow replay (composed invocations)
+    sebs-repro population                # multi-tenant population replay (Zipf/diurnal/burst)
     sebs-repro fault-storm               # retry-storm / metastable-failure experiment
 
 All experiments run against the simulated providers; ``--samples`` and

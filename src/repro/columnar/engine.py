@@ -1,7 +1,7 @@
 """The vectorized (columnar) trace-replay hot loop.
 
 One flat loop replaces the scalar call stack
-(``WorkloadEngine._stream_fast`` → ``_simulate_invocation`` →
+(``WorkloadEngine.stream`` → ``_simulate_invocation`` →
 ``_simulate_reserved_invocation`` → compute / reliability / billing /
 network models) for every batch replay
 :meth:`~repro.workload.engine.WorkloadEngine.replay` can hand it: no

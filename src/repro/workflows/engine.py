@@ -458,18 +458,15 @@ class WorkflowEngine:
         task_positions = itertools.count()
         exec_counter = iter(execution_indices) if execution_indices is not None else itertools.count()
 
-        # Under the overload model the inner engine buffers work (admission
-        # queues, retry backoff) whose eventual records schedule *new*
-        # source events — possibly earlier than this source's current next
-        # event.  Before committing to an event, the source therefore
-        # compares the engine's feedback horizon (earliest instant buffered
-        # work could emit a record) against it and yields the REPLENISH
-        # sentinel instead whenever the buffered work comes first: the
-        # engine resolves it, the records land here, and the heap re-sorts.
-        # Never needed in fast mode, where every consumed request resolves
-        # before the next pull and the horizon is always None.
-        overload_active = getattr(platform, "_controlled_replay", False)
-
+        # A controlled inner engine buffers work (admission queues, retry
+        # backoff) whose eventual records schedule *new* source events —
+        # possibly earlier than this source's current next event.  Before
+        # committing to an event, the source therefore compares the
+        # engine's feedback horizon (earliest instant buffered work could
+        # emit a record) against it and yields the REPLENISH sentinel
+        # instead whenever the buffered work comes first: the engine
+        # resolves it, the records land here, and the heap re-sorts.  The
+        # horizon is None whenever nothing is buffered.
         def source() -> Iterator[InvocationRequest]:
             arrival_iter = iter(arrivals)
             nxt = next(arrival_iter, None)
@@ -478,7 +475,8 @@ class WorkflowEngine:
                 # Admit every workflow arrival at or before the next event,
                 # so its root events take part in canonical heap ordering.
                 while nxt is not None and (not pending or nxt.submitted_at <= pending[0][0]):
-                    if nxt.submitted_at < last_submitted:
+                    # Negated so a NaN timestamp fails the check too.
+                    if not nxt.submitted_at >= last_submitted:
                         raise ConfigurationError(
                             "workflow arrivals must be sorted by submission time "
                             f"({nxt.submitted_at:.6f} after {last_submitted:.6f})"
@@ -486,13 +484,12 @@ class WorkflowEngine:
                     last_submitted = nxt.submitted_at
                     self._admit(nxt, next(exec_counter), active, pending, finished)
                     nxt = next(arrival_iter, None)
-                if overload_active:
-                    horizon = inner.feedback_horizon()
-                    if horizon is not None and (not pending or horizon <= pending[0][0]):
-                        yield REPLENISH  # type: ignore[misc]
-                        continue
+                horizon = inner.feedback_horizon()
+                if horizon is not None and (not pending or horizon <= pending[0][0]):
+                    yield REPLENISH  # type: ignore[misc]
+                    continue
                 if not pending:
-                    if overload_active and active and nxt is None:
+                    if active and nxt is None:
                         # No event ready but executions are still in flight:
                         # their tasks live in the engine's buffers.
                         yield REPLENISH  # type: ignore[misc]

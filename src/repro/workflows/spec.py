@@ -31,6 +31,7 @@ position).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -242,8 +243,11 @@ class WorkflowArrival:
     payload_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.submitted_at < 0:
-            raise ConfigurationError("workflow arrival timestamps must be non-negative")
+        if not 0.0 <= self.submitted_at < math.inf:
+            raise ConfigurationError(
+                "workflow arrival timestamps must be finite and non-negative "
+                f"(got {self.submitted_at!r})"
+            )
 
 
 def synthesize_workflow_arrivals(

@@ -96,7 +96,7 @@ from ..stats.summary import DistributionSummary, summarize
 from .trace import MergedWorkloadTrace, WorkloadTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..simulator.platform_sim import SimulatedPlatform
+    from ..simulator.platform_sim import SimulatedPlatform, _FunctionRuntimeState
 
 #: Evicted sandboxes are pruned from the pools every this many requests, so
 #: the pool bookkeeping stays O(live sandboxes) instead of O(all ever made).
@@ -107,8 +107,8 @@ _PRUNE_INTERVAL = 1024
 #: receiving a synchronous 429.
 ASYNC_TRIGGERS = frozenset((TriggerType.QUEUE, TriggerType.STORAGE, TriggerType.TIMER))
 
-#: Breaker-signal codes carried on completion entries of the controlled
-#: replay loop (:meth:`WorkloadEngine._stream_overload`).  Throttles are a
+#: Breaker-signal codes carried on completion entries of the generator
+#: loop (:meth:`WorkloadEngine.stream`).  Throttles are a
 #: distinct code because the breaker treats them asymmetrically (ignored
 #: while CLOSED, failed-probe while HALF_OPEN — see
 #: :meth:`repro.resilience.CircuitBreaker.on_outcome`).
@@ -117,10 +117,10 @@ _SIG_FAILURE, _SIG_SUCCESS, _SIG_THROTTLE = 0, 1, 2
 #: Sentinel a *feedback* request source (the workflow engine) may yield when
 #: it has no request ready right now but more will appear once the engine
 #: resolves work it is holding internally (admission-queued tasks, pending
-#: retries).  The overload engine reacts by processing its earliest internal
-#: event and pulling again; the source sees the resulting records before the
-#: next pull, exactly like the ordinary feedback hand-off.  Never emitted in
-#: fast (non-overload) mode, where the engine buffers nothing.
+#: retries).  The engine reacts by processing its earliest internal event
+#: and pulling again; the source sees the resulting records before the next
+#: pull, exactly like the ordinary feedback hand-off.  Never emitted by an
+#: uncontrolled replay, where the engine buffers nothing.
 REPLENISH = object()
 
 
@@ -817,6 +817,22 @@ def streaming_result(
     )
 
 
+def _fold_carried(
+    record: InvocationRecord, carried: tuple[CostBreakdown, int] | None
+) -> InvocationRecord:
+    """Bill a resubmission saga's burned executions on its terminal record.
+
+    ``carried`` is ``None`` for ordinary requests, which pass unchanged.
+    """
+    if carried is None:
+        return record
+    return replace(
+        record,
+        cost=record.cost + carried[0],
+        hedges=record.hedges + carried[1],
+    )
+
+
 class WorkloadEngine:
     """Replays invocation streams against one simulated platform."""
 
@@ -830,7 +846,7 @@ class WorkloadEngine:
         self.observer = None
         #: Peak concurrency observed by the most recent stream() pass.
         self.last_peak_in_flight = 0
-        #: Set while an overload stream is active: callable returning the
+        #: Set while stream() is active: callable returning the
         #: earliest trace-relative time at which buffered internal work
         #: (due retries, completions that would drain an admission queue)
         #: could emit a record.  See :meth:`feedback_horizon`.
@@ -845,7 +861,8 @@ class WorkloadEngine:
         at or before that event's time.  The source compares this horizon
         against its own next event and yields :data:`REPLENISH` instead when
         the buffered work comes first.  ``None`` whenever nothing buffered
-        can produce a record (always, in fast mode: it buffers nothing).
+        can produce a record (always in an uncontrolled replay, which
+        buffers nothing).
         """
         fn = self._horizon_fn
         return fn() if fn is not None else None
@@ -857,7 +874,10 @@ class WorkloadEngine:
     ) -> Iterator[InvocationRecord]:
         """Replay ``requests`` lazily, yielding one record per request.
 
-        Requests must arrive in non-decreasing ``submitted_at`` order
+        The generator loop: it runs ``invoke_stream``, the workflow engine's
+        feedback source, kernel mode and every controlled replay (overload,
+        faults, resilience).  Requests must arrive in non-decreasing
+        ``submitted_at`` order
         (:class:`~repro.workload.trace.WorkloadTrace` guarantees this).
         Timestamps are relative: request time 0 is the platform clock's
         position when the stream starts.  When the stream is exhausted the
@@ -868,106 +888,6 @@ class WorkloadEngine:
         dispatched invocation holds one slot until its completion event is
         popped (or, if the stream is abandoned, until the generator is
         closed — outstanding slots are released on the way out).
-
-        ``positions`` overrides the default ``0, 1, 2, ...`` numbering of
-        requests (one index per request, in consumption order); each record
-        carries its request's number as ``request_index``.  Sharded replay
-        passes the indices from the *unsharded* stream so merged records
-        sort back into exact arrival order.  With the overload model
-        enabled, records are yielded as their requests *resolve* — a
-        retried or queued request's record appears after later arrivals
-        that resolved first; ``request_index`` recovers arrival order.
-        """
-        if getattr(self.platform, "_controlled_replay", False):
-            return self._stream_overload(requests, positions)
-        return self._stream_fast(requests, positions)
-
-    def _stream_fast(
-        self,
-        requests: Iterable[InvocationRequest],
-        positions: Iterable[int] | None = None,
-    ) -> Iterator[InvocationRecord]:
-        """The no-throttling hot path (admission is unconditional)."""
-        platform = self.platform
-        base = platform.clock.now()
-        sequence = itertools.count()
-        position_iter = iter(positions) if positions is not None else itertools.count()
-        # Completion events: (finish_time, tie-break, function, container_id).
-        completions: list[tuple[float, int, str, str]] = []
-        # In-flight executions per function: the concurrency the invocation
-        # model sees.  Scoped per function — not the whole-platform heap
-        # size — so one function's burst-failure behaviour depends only on
-        # its own overlap structure (explicit per-function isolation; the
-        # invariant sharded replay relies on).
-        in_flight_by_fn: dict[str, int] = {}
-        last_submitted = 0.0
-        last_finish = base
-        processed = 0
-        peak = 0
-        self.last_peak_in_flight = 0
-
-        try:
-            for request in requests:
-                # Negated so a NaN timestamp fails the check too.
-                if not request.submitted_at >= last_submitted:
-                    raise ConfigurationError(
-                        "workload requests must be sorted by submission time "
-                        f"({request.submitted_at:.6f} after {last_submitted:.6f})"
-                    )
-                last_submitted = request.submitted_at
-                now = base + request.submitted_at
-
-                # Release every sandbox whose invocation completed by `now`.
-                while completions and completions[0][0] <= now:
-                    _, _, done_fname, container_id = heapq.heappop(completions)
-                    platform._release_container(done_fname, container_id)
-                    in_flight_by_fn[done_fname] -= 1
-
-                platform.clock.advance_to(now)
-                in_flight = len(completions)
-                fname = request.function_name
-                fn_in_flight = in_flight_by_fn.get(fname, 0)
-                record = platform._simulate_invocation(
-                    fname,
-                    request.payload,
-                    request.trigger,
-                    request.payload_bytes,
-                    concurrency=fn_in_flight + 1,
-                    start_at=now,
-                    request_index=next(position_iter),
-                )
-                in_flight_by_fn[fname] = fn_in_flight + 1
-                heapq.heappush(
-                    completions,
-                    (record.finished_at, next(sequence), request.function_name, record.container_id),
-                )
-                if in_flight + 1 > peak:
-                    peak = in_flight + 1
-                if record.finished_at > last_finish:
-                    last_finish = record.finished_at
-
-                processed += 1
-                if processed % _PRUNE_INTERVAL == 0:
-                    self._prune_pools()
-                yield record
-
-            if last_finish > platform.clock.now():
-                platform.clock.advance_to(last_finish)
-        finally:
-            self.last_peak_in_flight = peak
-            # Return any outstanding occupancy slots (normal exhaustion: all
-            # in-flight work has finished by `last_finish`; early abandonment:
-            # the sandboxes must not stay reserved forever).
-            while completions:
-                _, _, done_fname, container_id = heapq.heappop(completions)
-                platform._release_container(done_fname, container_id)
-
-    def _stream_overload(
-        self,
-        requests: Iterable[InvocationRequest],
-        positions: Iterable[int] | None = None,
-    ) -> Iterator[InvocationRecord]:
-        """The controlled replay loop (overload, faults and/or resilience).
 
         Three event sources merge in time order without ever re-sorting the
         heap of scheduled work:
@@ -991,10 +911,24 @@ class WorkloadEngine:
         code).  Heap order never inspects the tail fields: the tie-break
         is unique.
 
-        Everything that orders a single function's events — its arrivals,
-        its retries, its completions, its queue, its breaker and fault
-        schedule — is derived from that function's own history, so a
-        controlled replay shards exactly like an unthrottled one.
+        Every control hangs off a per-function value (``state.throttle``,
+        ``state.fault_state``, ``state.breaker``) or a platform value
+        (hedge, staleness deadline, client retry policy) that is ``None``
+        when the feature is off.  An arrival with none of them is admitted,
+        executed and pushed inline; every other attempt goes through
+        ``handle``.  Everything that orders a single function's events —
+        its arrivals, its retries, its completions, its queue, its breaker
+        and fault schedule — is derived from that function's own history,
+        so a controlled replay shards exactly like an uncontrolled one.
+
+        ``positions`` overrides the default ``0, 1, 2, ...`` numbering of
+        requests (one index per request, in consumption order); each record
+        carries its request's number as ``request_index``.  Sharded replay
+        passes the indices from the *unsharded* stream so merged records
+        sort back into exact arrival order.  With the overload model
+        enabled, records are yielded as their requests *resolve* — a
+        retried or queued request's record appears after later arrivals
+        that resolved first; ``request_index`` recovers arrival order.
         """
         platform = self.platform
         observer = self.observer
@@ -1003,7 +937,14 @@ class WorkloadEngine:
         hedge = platform._hedge
         stale_after_s = platform._stale_after_s
         client_policy = platform._client_retry_policy
-        base = platform.clock.now()
+        # Hedging and the staleness deadline act on every synchronous
+        # attempt, so with either configured no arrival is executed inline.
+        inline_ok = hedge is None and stale_after_s is None
+        states = platform._state
+        simulate = platform._simulate_invocation
+        release = platform._release_container
+        clock = platform.clock
+        base = clock.now()
         sequence = itertools.count()
         retry_sequence = itertools.count()
         position_iter = iter(positions) if positions is not None else itertools.count()
@@ -1019,7 +960,13 @@ class WorkloadEngine:
                 tuple[CostBreakdown, int] | None,
             ]
         ] = []
+        #: Admission queues of functions with spilled work; a queue is
+        #: deleted once drained, so an empty dict means nothing is queued.
         queues: dict[str, AdmissionQueue] = {}
+        # In-flight executions per function: the concurrency the invocation
+        # model sees.  Scoped per function — not the whole platform — so one
+        # function's burst-failure behaviour depends only on its own overlap
+        # structure (the invariant sharded replay relies on).
         in_flight_by_fn: dict[str, int] = {}
         #: Logical requests currently executing (counted completion
         #: entries).  Tracked explicitly rather than as ``len(completions)``
@@ -1037,11 +984,12 @@ class WorkloadEngine:
         out: list[InvocationRecord] = []
 
         def execute(
-            request: InvocationRequest, position: int, now_abs: float,
+            request: InvocationRequest, state: _FunctionRuntimeState,
+            position: int, now_abs: float,
             first_submitted_abs: float, attempts: int,
             carried: tuple[CostBreakdown, int] | None = None,
         ) -> InvocationRecord | None:
-            """Dispatch an admitted request at ``now_abs``.
+            """Dispatch an admitted request at ``now_abs`` (controlled path).
 
             Returns the request's terminal record — or ``None`` when the
             response came back past the client's staleness deadline and the
@@ -1050,7 +998,6 @@ class WorkloadEngine:
             """
             nonlocal peak, last_finish, processed, in_flight_total
             fname = request.function_name
-            state = platform._runtime_state(fname)
             sync = request.trigger not in ASYNC_TRIGGERS
             fault_scale = None
             fault_state = state.fault_state
@@ -1061,7 +1008,7 @@ class WorkloadEngine:
                     observer.on_container_evict(fname, crash_evicted, now_abs, "crash")
                 fault_scale = fault_state.multipliers_at(now_rel)
             fn_in_flight = in_flight_by_fn.get(fname, 0)
-            record = platform._simulate_invocation(
+            record = simulate(
                 fname,
                 request.payload,
                 request.trigger,
@@ -1083,7 +1030,7 @@ class WorkloadEngine:
                 # are billed.  The duplicate rides its primary's fault view
                 # — crashes and storm multipliers as of the dispatch
                 # instant — keeping the pair a single scheduling decision.
-                duplicate = platform._simulate_invocation(
+                duplicate = simulate(
                     fname,
                     request.payload,
                     request.trigger,
@@ -1140,6 +1087,7 @@ class WorkloadEngine:
             signal = None
             if state.breaker is not None and sync:
                 signal = _SIG_SUCCESS if record.success else _SIG_FAILURE
+            # Same bookkeeping as the inline arrival path in the loop below.
             in_flight_by_fn[fname] = fn_in_flight + 1
             in_flight_total += 1
             heapq.heappush(
@@ -1184,22 +1132,14 @@ class WorkloadEngine:
                         ),
                     )
                     return None
-            if carried is not None:
-                # Terminal record of a resubmission saga: bill every
-                # execution the saga burned, not just the last one.
-                record = replace(
-                    record,
-                    cost=record.cost + carried[0],
-                    hedges=record.hedges + carried[1],
-                )
-            return record
+            return _fold_carried(record, carried)
 
         def drain_queue(fname: str, now_abs: float) -> None:
             """Admit (or age-drop) spilled requests of ``fname`` at ``now_abs``."""
             queue = queues.get(fname)
             if queue is None or not len(queue):
                 return
-            state = platform._runtime_state(fname)
+            state = states[fname]
             fault_state = state.fault_state
             if fault_state is not None and fault_state.outage_at(now_abs - base) is not None:
                 # The function's region is down: spilled work holds in the
@@ -1226,7 +1166,7 @@ class WorkloadEngine:
                     break
                 entry = queue.pop()
                 record = execute(
-                    entry.request, entry.position, now_abs, entry.enqueued_at, 1
+                    entry.request, state, entry.position, now_abs, entry.enqueued_at, 1
                 )
                 if record is not None:  # async: never stale-resubmitted
                     out.append(record)
@@ -1247,20 +1187,21 @@ class WorkloadEngine:
             nonlocal in_flight_total
             while completions and completions[0][0] <= until_abs:
                 finish = completions[0][0]
-                drained_fnames: list[str] = []
+                # Built only when some admission queue exists.
+                drained_fnames: list[str] | None = None
                 while completions and completions[0][0] == finish:
                     _, _, done_fname, container_id, counted, signal = heapq.heappop(
                         completions
                     )
                     if container_id:
-                        platform._release_container(done_fname, container_id)
+                        release(done_fname, container_id)
                     if counted:
                         in_flight_by_fn[done_fname] -= 1
                         in_flight_total -= 1
                     if signal is not None:
                         # Breaker verdicts apply at the instant the client
                         # observes the response — never at dispatch time.
-                        done_breaker = platform._runtime_state(done_fname).breaker
+                        done_breaker = states[done_fname].breaker
                         before_state = done_breaker.state
                         done_breaker.on_outcome(
                             finish,
@@ -1274,40 +1215,35 @@ class WorkloadEngine:
                                 before_state.value,
                                 done_breaker.state.value,
                             )
-                    queue = queues.get(done_fname)
-                    if queue is not None and len(queue) and done_fname not in drained_fnames:
-                        drained_fnames.append(done_fname)
-                for done_fname in drained_fnames:
-                    platform.clock.advance_to(finish)
-                    drain_queue(done_fname, finish)
+                    if queues:
+                        queue = queues.get(done_fname)
+                        if queue is not None and len(queue):
+                            if drained_fnames is None:
+                                drained_fnames = [done_fname]
+                            elif done_fname not in drained_fnames:
+                                drained_fnames.append(done_fname)
+                if drained_fnames is not None:
+                    for done_fname in drained_fnames:
+                        clock.advance_to(finish)
+                        drain_queue(done_fname, finish)
 
         def handle(
-            request: InvocationRequest, position: int, now_rel: float,
+            request: InvocationRequest, state: _FunctionRuntimeState,
+            position: int, now_rel: float,
             first_rel: float, attempts: int,
             carried: tuple[CostBreakdown, int] | None = None,
         ) -> None:
-            """Process one admission attempt at ``now_rel`` (arrival or retry)."""
+            """Process one controlled admission attempt at ``now_rel``.
+
+            The caller has already released the completions due by then and
+            advanced the clock.
+            """
             nonlocal last_finish
             now_abs = base + now_rel
-            pop_completions(now_abs)
-            platform.clock.advance_to(now_abs)
             fname = request.function_name
-            state = platform._runtime_state(fname)
             first_abs = base + first_rel
             sync = request.trigger not in ASYNC_TRIGGERS
             breaker = state.breaker
-
-            def terminal(record: InvocationRecord) -> InvocationRecord:
-                """Fold a resubmission saga's burned executions into its
-                terminal record (no-op for ordinary requests)."""
-                if carried is None:
-                    return record
-                return replace(
-                    record,
-                    cost=record.cost + carried[0],
-                    hedges=record.hedges + carried[1],
-                )
-
             if breaker is not None and sync:
                 before_state = breaker.state
                 allowed = breaker.allow(now_abs)
@@ -1323,7 +1259,7 @@ class WorkloadEngine:
                     # breaker learns nothing from its own rejections (only
                     # probe and pass-through outcomes feed the window).
                     out.append(
-                        terminal(
+                        _fold_carried(
                             platform._overload_record(
                                 fname,
                                 outcome=InvocationOutcome.SHORT_CIRCUITED,
@@ -1333,7 +1269,8 @@ class WorkloadEngine:
                                 admission_delay_s=now_abs - first_abs,
                                 request_index=position,
                                 error="breaker-open",
-                            )
+                            ),
+                            carried,
                         )
                     )
                     return
@@ -1365,7 +1302,7 @@ class WorkloadEngine:
                     if finished_abs > last_finish:
                         last_finish = finished_abs
                     out.append(
-                        terminal(
+                        _fold_carried(
                             platform._overload_record(
                                 fname,
                                 outcome=InvocationOutcome.FAULTED,
@@ -1375,7 +1312,8 @@ class WorkloadEngine:
                                 admission_delay_s=now_abs - first_abs,
                                 request_index=position,
                                 error=f"outage-{outage.mode}",
-                            )
+                            ),
+                            carried,
                         )
                     )
                 else:
@@ -1399,7 +1337,7 @@ class WorkloadEngine:
                 now_abs, in_flight_by_fn.get(fname, 0)
             ):
                 record = execute(
-                    request, position, now_abs, first_abs, attempts + 1, carried
+                    request, state, position, now_abs, first_abs, attempts + 1, carried
                 )
                 if record is not None:
                     out.append(record)
@@ -1442,7 +1380,7 @@ class WorkloadEngine:
                     if finished_abs > last_finish:
                         last_finish = finished_abs
                     out.append(
-                        terminal(
+                        _fold_carried(
                             platform._overload_record(
                                 fname,
                                 outcome=InvocationOutcome.THROTTLED,
@@ -1452,7 +1390,8 @@ class WorkloadEngine:
                                 admission_delay_s=now_abs - first_abs,
                                 request_index=position,
                                 error="throttled",
-                            )
+                            ),
+                            carried,
                         )
                     )
                 else:
@@ -1468,6 +1407,19 @@ class WorkloadEngine:
                             carried,
                         ),
                     )
+
+        def retry() -> None:
+            """Process the earliest due retry attempt."""
+            now_rel, _, request, position, first_rel, attempts, carried = heapq.heappop(
+                retries
+            )
+            now_abs = base + now_rel
+            pop_completions(now_abs)
+            clock.advance_to(now_abs)
+            handle(
+                request, states[request.function_name], position, now_rel, first_rel,
+                attempts, carried,
+            )
 
         def advance_internal() -> bool:
             """Process the earliest internal event (a REPLENISH pull).
@@ -1485,10 +1437,7 @@ class WorkloadEngine:
             if next_retry is not None and (
                 next_completion is None or next_retry < next_completion
             ):
-                now_rel, _, request, position, first_rel, attempts, carried = (
-                    heapq.heappop(retries)
-                )
-                handle(request, position, now_rel, first_rel, attempts, carried)
+                retry()
             else:
                 pop_completions(next_completion)
             return True
@@ -1501,12 +1450,12 @@ class WorkloadEngine:
             bound — it may belong to a queue-less function, costing at most
             an extra replenish round).
             """
-            candidates = []
-            if retries:
-                candidates.append(retries[0][0])
-            if completions and any(len(queue) for queue in queues.values()):
-                candidates.append(completions[0][0] - base)
-            return min(candidates) if candidates else None
+            due = retries[0][0] if retries else None
+            if completions and queues and any(len(queue) for queue in queues.values()):
+                drain_at = completions[0][0] - base
+                if due is None or drain_at < due:
+                    return drain_at
+            return due
 
         self._horizon_fn = horizon_rel
         try:
@@ -1539,32 +1488,66 @@ class WorkloadEngine:
                     pending_request is None
                     or retries[0][0] <= pending_request.submitted_at
                 ):
-                    now_rel, _, request, position, first_rel, attempts, carried = (
-                        heapq.heappop(retries)
-                    )
-                    handle(request, position, now_rel, first_rel, attempts, carried)
-                elif pending_request is not None:
-                    request = pending_request
-                    pending_request = None
-                    # Negated so a NaN timestamp fails the check too.
-                    if not request.submitted_at >= last_submitted:
-                        raise ConfigurationError(
-                            "workload requests must be sorted by submission time "
-                            f"({request.submitted_at:.6f} after {last_submitted:.6f})"
-                        )
-                    last_submitted = request.submitted_at
-                    handle(
-                        request,
-                        next(position_iter),
-                        request.submitted_at,
-                        request.submitted_at,
-                        0,
-                    )
-                elif exhausted:
+                    retry()
+                    continue
+                if pending_request is None:
                     break
-            if out:
-                yield from out
-                out.clear()
+                request = pending_request
+                pending_request = None
+                now_rel = request.submitted_at
+                # Negated so a NaN timestamp fails the check too.
+                if not now_rel >= last_submitted:
+                    raise ConfigurationError(
+                        "workload requests must be sorted by submission time "
+                        f"({now_rel:.6f} after {last_submitted:.6f})"
+                    )
+                last_submitted = now_rel
+                now_abs = base + now_rel
+                if completions and completions[0][0] <= now_abs:
+                    pop_completions(now_abs)
+                clock.advance_to(now_abs)
+                fname = request.function_name
+                state = states.get(fname)
+                if state is None:
+                    state = platform._runtime_state(fname)
+                position = next(position_iter)
+                if not (
+                    inline_ok
+                    and state.throttle is None
+                    and state.fault_state is None
+                    and state.breaker is None
+                ):
+                    handle(request, state, position, now_rel, now_rel, 0)
+                    continue
+                # Uncontrolled arrival: admitted unconditionally, executed
+                # and pushed without leaving the loop.
+                fn_in_flight = in_flight_by_fn.get(fname, 0)
+                record = simulate(
+                    fname,
+                    request.payload,
+                    request.trigger,
+                    request.payload_bytes,
+                    concurrency=fn_in_flight + 1,
+                    start_at=now_abs,
+                    request_index=position,
+                )
+                in_flight_by_fn[fname] = fn_in_flight + 1
+                in_flight_total += 1
+                heapq.heappush(
+                    completions,
+                    (record.finished_at, next(sequence), fname, record.container_id, True, None),
+                )
+                if in_flight_total > peak:
+                    peak = in_flight_total
+                if record.finished_at > last_finish:
+                    last_finish = record.finished_at
+                processed += 1
+                if processed % _PRUNE_INTERVAL == 0:
+                    self._prune_pools()
+                if out:
+                    yield from out
+                    out.clear()
+                yield record
 
             # Input exhausted: run the remaining completions to drain the
             # admission queues.  Progress is guaranteed — a completion always
@@ -1576,15 +1559,15 @@ class WorkloadEngine:
                     yield from out
                     out.clear()
 
-            if last_finish > platform.clock.now():
-                platform.clock.advance_to(last_finish)
+            if last_finish > clock.now():
+                clock.advance_to(last_finish)
         finally:
             self._horizon_fn = None
             self.last_peak_in_flight = peak
             while completions:
                 _, _, done_fname, container_id, _, _ = heapq.heappop(completions)
                 if container_id:
-                    platform._release_container(done_fname, container_id)
+                    release(done_fname, container_id)
 
     def replay(
         self,

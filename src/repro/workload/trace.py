@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -41,8 +42,11 @@ class WorkloadTrace:
     def __init__(self, requests: Iterable[InvocationRequest]):
         items = list(requests)
         for request in items:
-            if request.submitted_at < 0:
-                raise ConfigurationError("trace timestamps must be non-negative")
+            if not 0.0 <= request.submitted_at < math.inf:
+                raise ConfigurationError(
+                    "trace timestamps must be finite and non-negative "
+                    f"(got {request.submitted_at!r})"
+                )
         # Stable sort keeps the original order of simultaneous requests,
         # which keeps replay deterministic for identical timestamps.
         items.sort(key=lambda r: r.submitted_at)

@@ -360,14 +360,14 @@ class TestSharded:
 
 
 class TestSingleFastPath:
-    """Uncontrolled batch replays never enter the generator loop's fast branch."""
+    """Uncontrolled batch replays never enter the generator loop."""
 
     @pytest.fixture(autouse=True)
     def _forbid_generator_loop(self, monkeypatch):
         def forbidden(self, requests, positions=None):
-            raise AssertionError("batch replay entered WorkloadEngine._stream_fast")
+            raise AssertionError("batch replay entered WorkloadEngine.stream")
 
-        monkeypatch.setattr(WorkloadEngine, "_stream_fast", forbidden)
+        monkeypatch.setattr(WorkloadEngine, "stream", forbidden)
 
     @pytest.mark.parametrize("keep_records", (True, False))
     def test_serial_run_workload(self, keep_records):

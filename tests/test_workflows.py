@@ -89,6 +89,14 @@ class TestWorkflowSpec:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "value", (-1.0, float("nan"), float("inf")), ids=("negative", "nan", "inf")
+    )
+    def test_arrival_rejects_bad_timestamps(self, value):
+        spec = WorkflowSpec("one", (WorkflowStage("a", "f"),))
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            WorkflowArrival(spec, value)
+
     def test_trigger_defaults(self):
         spec = WorkflowSpec(
             "defaults", (WorkflowStage("root", "f"), WorkflowStage("next", "g", after=("root",)))

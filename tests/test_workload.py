@@ -142,6 +142,20 @@ class TestWorkloadTrace:
         with pytest.raises(ConfigurationError):
             WorkloadTrace([InvocationRequest(function_name="f", submitted_at=-1.0)])
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")), ids=("nan", "inf"))
+    def test_non_finite_timestamps_rejected(self, value):
+        """Rejected when the trace is built, not mid-replay (a NaN would
+        break the sort, an inf would overflow the clock arithmetic)."""
+        requests = [
+            InvocationRequest(function_name="f", submitted_at=0.5),
+            InvocationRequest(function_name="f", submitted_at=value),
+        ]
+        with pytest.raises(ConfigurationError, match="finite"):
+            WorkloadTrace(requests)
+        document = json.dumps({"requests": [{"function": "f", "submitted_at": value}]})
+        with pytest.raises(ConfigurationError, match="finite"):
+            WorkloadTrace.from_json(document)
+
     def test_payload_bytes_zero_survives_round_trip(self):
         """An explicit 0 override is distinct from 'measure the payload'."""
         trace = WorkloadTrace(
