@@ -12,9 +12,9 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## tier-1 suite with the coverage gate CI enforces (>=80% on stats +
-## parallel + faults + resilience + observe).  Falls back to the plain
-## tier-1 run when pytest-cov is not installed, so `make ci` works in
-## minimal environments too.
+## parallel + faults + resilience + observe + columnar).  Falls back to
+## the plain tier-1 run when pytest-cov is not installed, so `make ci`
+## works in minimal environments too.
 test-cov:
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(PYTHON) -m pytest -x -q \

@@ -183,9 +183,8 @@ def install_draw_blocks(state, platform) -> None:
 
     The compute stream is deliberately *not* wrapped (see module docstring).
     """
-    state.gateway_stream = LognormalBlock(
-        state.gateway_stream, platform._gateway_mean, platform._gateway_sigma
-    )
+    sigma = float(platform.performance.invocation.warm_jitter_cv)
+    state.gateway_stream = LognormalBlock(state.gateway_stream, -(sigma**2) / 2.0, sigma)
     jitter_scale = state.network.profile.jitter_scale_s
     if jitter_scale > 0:
         state.network._rng = ExponentialBlock(state.network._rng, jitter_scale)

@@ -8,10 +8,12 @@ network models) for every batch replay
 overload admission, no fault plane, no client resilience, no kernel
 execution.  Everything a record
 shares with its function — CPU share, jitter parameters, storage transfer
-bases, billing constants, reliability thresholds — is precomputed once per
-function *class* and copied into each function's :class:`_Lane` (see
-:func:`_build_lane`); per invocation only the data-dependent draws and
-float arithmetic remain.
+bases, billing constants, reliability gates — is compiled by the models
+themselves once per function *class*
+(:class:`~repro.simulator.platform_sim.FunctionClass`, cached on the
+platform and read by the generator loop too) and copied into each
+function's :class:`_Lane` (see :func:`_build_lane`); per invocation only
+the data-dependent draws and float arithmetic remain.
 
 **Draw-order contract.**  The loop consumes the per-function random
 streams in exactly the scalar order:
@@ -19,7 +21,8 @@ streams in exactly the scalar order:
 1. eviction-policy apply (own per-pool stream, delegated to the policy);
 2. spurious cold-start uniform (only when the provider's probability > 0);
 3. compute stream — jitter lognormal, contention uniform, per-transfer
-   storage lognormals (one ``size=k`` draw, see :func:`_storage_time`),
+   storage lognormals (one ``size=k`` draw, see
+   :func:`~repro.simulator.compute.storage_burst_time`),
    cold-init draws (delegated to
    :meth:`~repro.simulator.compute.ComputeModel.cold_init_time` — the cold
    path is rare and data-dependent), memory normal;
@@ -59,13 +62,14 @@ import itertools
 import math
 from typing import Callable, Iterable
 
-from ..config import DYNAMIC_MEMORY, InvocationOutcome, Provider, StartType, TriggerType
+from ..config import InvocationOutcome, StartType, TriggerType
 from ..exceptions import ConfigurationError
-from ..faas.billing import CostBreakdown
+from ..faas.billing import CompiledBilling, CostBreakdown
 from ..faas.invocation import InvocationRecord, payload_wire_bytes
+from ..simulator.compute import CompiledCompute, storage_burst_time
 from ..simulator.containers import Container, ContainerState
-from ..simulator.reliability import ReliabilityModel
-from ..utils.rng import lognormal_sigma
+from ..simulator.platform_sim import CompiledOverhead, SimulatedPlatform, _LogEntry
+from ..simulator.reliability import CompiledReliability
 from ..utils.units import round_up
 from ..workload.engine import _PRUNE_INTERVAL, _ReplayAccumulator
 from .records import ColumnarRecordBlock, LaneMeta
@@ -95,68 +99,31 @@ _HISTORY_SLACK = 2
 _LOG_FIELDS = 6
 
 
-#: Lane slots that depend only on the function's class (see
-#: :func:`_build_lane`): copied from the class template into every lane.
-_TEMPLATE_SLOTS = (
-    "benchmark",
-    "memory_mb",
-    "profile",
-    "package_mb",
-    "timeout_s",
-    "peak_memory_mb",
-    # Overridden sandbox acquisition (IaaS's always-warm VM); ``None``
-    # selects the inlined base-platform path.
-    "acquire",
-    # compute
-    "compute_base",
-    "jit_solo",
-    "jit_conc",
-    # storage: one base latency per transfer of an invocation, reads then
-    # writes (empty when the profile does no storage I/O)
-    "contention_p",
-    "contention_slowdown",
-    "storage_bases",
-    "s_jitter",
-    "s_mean",
-    "s_sigma",
-    # reliability
-    "rel_dynamic",
-    "rel_strict",
-    "rel_lenient_threshold",
-    "rel_borderline",
-    "rel_burst",
-    "rel_gcp",
-    "rel_highmem",
-    # gateway / payload / network
-    "http_base",
-    "sdk_base",
-    "payload_denom",
-    "empty_upload",
-    "response_download_s",
-    "req_base",
-    "resp_base",
-    "sp_p",
-    # billing
-    "is_vm",
-    "vm_price",
-    "min_billed",
-    "granularity",
-    "gb_price",
-    "bills_avg",
-    "mem_gb_const",
-    "mem_gran",
-    "mem_overhead",
-    "statics",
+#: Lane slots copied from the compiled parts of the function's class.
+_CLASS_SLOTS = tuple(
+    name
+    for part in (CompiledCompute, CompiledReliability, CompiledBilling, CompiledOverhead)
+    for name in part._fields
 )
 
 
 class _Lane:
     """Per-function constants and prebound hot-path callables."""
 
-    __slots__ = _TEMPLATE_SLOTS + (
+    __slots__ = _CLASS_SLOTS + (
         "fname",
         "version",
         "function",
+        "benchmark",
+        "memory_mb",
+        "profile",
+        "package_mb",
+        "timeout_s",
+        "peak_memory_mb",
+        # Overridden sandbox acquisition (IaaS's always-warm VM); ``None``
+        # selects the inlined base-platform path.
+        "acquire",
+        "sp_p",
         # pool / container plumbing.  The pick / reserve / finish-serve /
         # release operations are inlined in the loop against the pool's
         # internal structures: ``heap`` (the per-version MRU heap list),
@@ -197,43 +164,43 @@ class _Lane:
     )
 
 
-def _build_lane(platform, fname: str, templates: dict) -> _Lane:
+def _build_lane(platform, fname: str) -> _Lane:
     """Resolve one function into a lane (first appearance).
 
-    Everything a lane's constants read is fixed by the function's *class*:
-    benchmark, input size, language, memory, package size, timeout and the
-    storage and network profiles.  The constants are compiled once per
-    class into ``templates`` (one dict per replay) and copied into each
-    lane; per function only the pool, the stream handles, the buffers and
-    the counters are set.
+    The constants come from the function's compiled class (see
+    :class:`~repro.simulator.platform_sim.FunctionClass`), which the
+    platform compiles once per class and shares between functions; per
+    function only the pool, the stream handles, the buffers and the
+    counters are set.
     """
     function = platform.get_function(fname)
     state = platform._state.get(fname)
     if state is None:
         state = platform._runtime_state(fname)
-    compute = state.compute
-    config = function.config
-    network = state.network
-    key = (
-        function.benchmark,
-        state.input_size,
-        state.language,
-        config.memory_mb,
-        function.package.size_mb,
-        config.timeout_s,
-        id(compute.storage_model.profile),
-        id(network.profile),
-    )
-    template = templates.get(key)
-    if template is None:
-        template = templates[key] = _lane_template(platform, function, state)
+    klass = platform._class_of(function, state)
 
     lane = _Lane()
-    for name, value in zip(_TEMPLATE_SLOTS, template):
+    for name, value in zip(
+        _CLASS_SLOTS, itertools.chain(klass.compute, klass.reliability, klass.billing, klass.overhead)
+    ):
         setattr(lane, name, value)
     lane.fname = function.name
     lane.version = function.version
     lane.function = function
+    lane.benchmark = function.benchmark
+    lane.memory_mb = klass.memory_mb
+    lane.profile = klass.profile
+    lane.package_mb = klass.package_mb
+    lane.timeout_s = klass.timeout_s
+    lane.peak_memory_mb = klass.profile.peak_memory_mb
+    # A platform that overrides sandbox acquisition (IaaS) keeps its own
+    # semantics: the loop calls the override per invocation instead of the
+    # inlined base path.
+    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
+        lane.acquire = None
+    else:
+        lane.acquire = platform._acquire_container
+    lane.sp_p = platform._spurious_probability
 
     pool = state.pool
     lane.pool = pool
@@ -247,6 +214,7 @@ def _build_lane(platform, fname: str, templates: dict) -> _Lane:
     lane.in_flight = 0
 
     # Compute stream: the heterogeneous scalar stream (see module docstring).
+    compute = state.compute
     rng = compute._rng
     lane.c_lognormal = rng.lognormal
     lane.c_normal = rng.normal
@@ -257,6 +225,7 @@ def _build_lane(platform, fname: str, templates: dict) -> _Lane:
 
     lane.rel_take = state.reliability._rng.take if platform.simulation.enable_failures else None
     lane.gw_block = state.gateway_stream
+    network = state.network
     lane.net_block = network._rng if network.profile.jitter_scale_s > 0 else None
     lane.sp_take = state.spurious_stream.take if lane.sp_p > 0 else None
 
@@ -273,158 +242,6 @@ def _build_lane(platform, fname: str, templates: dict) -> _Lane:
     return lane
 
 
-def _lane_template(platform, function, state) -> tuple:
-    """The class constants of ``function``'s lanes, in ``_TEMPLATE_SLOTS`` order."""
-    from ..simulator.platform_sim import _EMPTY_PAYLOAD_BYTES, SimulatedPlatform
-
-    profile = platform._profile_for(function, state)
-    memory_mb = function.config.memory_mb
-    performance = platform.performance
-    compute = state.compute
-
-    lane = _Lane()
-    lane.benchmark = function.benchmark
-    lane.memory_mb = memory_mb
-    lane.profile = profile
-    lane.package_mb = function.package.size_mb
-    lane.timeout_s = function.config.timeout_s
-    lane.peak_memory_mb = profile.peak_memory_mb
-    # A platform that overrides sandbox acquisition (IaaS) keeps its own
-    # semantics: the loop calls the override per invocation instead of the
-    # inlined base path.
-    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
-        lane.acquire = None
-    else:
-        lane.acquire = platform._acquire_container
-
-    share = compute.cpu_share(memory_mb)
-    lane.compute_base = profile.warm_compute_s * performance.compute_speed_factor / share
-    lane.jit_solo = _jitter_params(performance.compute_jitter_cv)
-    lane.jit_conc = _jitter_params(
-        performance.compute_jitter_cv * performance.concurrency_jitter_factor
-    )
-
-    # Storage: per-transfer base latencies precomputed exactly as
-    # StorageLatencyModel.transfer_time computes them.  Read the profile off
-    # the live model — a platform may attach a non-default one (IaaS S3).
-    storage = compute.storage_model.profile
-    effective = compute.effective_memory(memory_mb)
-    bandwidth = compute.storage_model.bandwidth_mbps(effective) * 1024 * 1024
-    lane.contention_p = storage.contention_tail_probability
-    lane.contention_slowdown = storage.contention_slowdown
-    bases = []
-    for size, requests in (
-        (profile.storage_read_bytes, profile.storage_read_requests),
-        (profile.storage_write_bytes, profile.storage_write_requests),
-    ):
-        if size > 0 or requests > 0:
-            requests = max(1, requests)
-            bases += [storage.base_latency_s + (size // requests) / bandwidth] * requests
-    lane.storage_bases = tuple(bases)
-    lane.s_jitter = storage.jitter_cv > 0
-    if lane.s_jitter:
-        s_sigma = lognormal_sigma(storage.jitter_cv)
-        lane.s_sigma = s_sigma
-        lane.s_mean = -(s_sigma**2) / 2.0
-    else:
-        lane.s_sigma = 0.0
-        lane.s_mean = 0.0
-
-    # Reliability: thresholds and draw gates, mirroring ReliabilityModel.
-    provider = platform.provider
-    lane.rel_dynamic = memory_mb == DYNAMIC_MEMORY
-    lane.rel_strict = provider in ReliabilityModel._STRICT_MEMORY_PROVIDERS
-    lane.rel_lenient_threshold = memory_mb * 1.5
-    lane.rel_borderline = memory_mb < profile.peak_memory_mb * 1.10
-    lane.rel_burst = provider in ReliabilityModel._BURST_FAILURE_PROVIDERS
-    lane.rel_gcp = provider is Provider.GCP
-    lane.rel_highmem = memory_mb >= 4096
-
-    # Gateway, payload, response and network constants.
-    invocation_profile = platform._invocation_profile
-    lane.http_base = invocation_profile.http_gateway_s
-    lane.sdk_base = invocation_profile.sdk_overhead_s
-    lane.payload_denom = invocation_profile.payload_bandwidth_mbps * 1024 * 1024
-    lane.empty_upload = _EMPTY_PAYLOAD_BYTES / lane.payload_denom
-    lane.response_download_s = profile.output_bytes / (
-        invocation_profile.response_bandwidth_mbps * 1024 * 1024
-    )
-    lane.req_base = state.network._request_base
-    lane.resp_base = state.network._response_base
-    lane.sp_p = platform._spurious_probability
-
-    # Billing constants (the static components go through the billing
-    # model's own cache so the floats are byte-for-byte the scalar path's).
-    billing = platform.billing
-    lane.is_vm = billing.vm_hourly_price > 0
-    lane.vm_price = billing.vm_hourly_price
-    lane.min_billed = billing.minimum_billed_duration_s
-    lane.granularity = billing.duration_granularity_s
-    lane.gb_price = billing.gb_second_price
-    lane.bills_avg = billing.bills_average_memory or lane.rel_dynamic
-    lane.mem_gb_const = float(memory_mb) / 1024.0
-    lane.mem_gran = float(billing.memory_granularity_mb)
-    lane.mem_overhead = billing.billed_memory_overhead_mb
-    storage_requests = profile.storage_read_requests + profile.storage_write_requests
-    if lane.is_vm:
-        statics = {
-            (via_http, success): (0.0, 0.0, 0.0)
-            for via_http in (False, True)
-            for success in (False, True)
-        }
-    else:
-        statics = {
-            (via_http, success): billing._static_cost_components(
-                profile.output_bytes if success else 0, storage_requests, via_http
-            )
-            for via_http in (False, True)
-            for success in (False, True)
-        }
-    lane.statics = statics
-    return tuple(getattr(lane, name) for name in _TEMPLATE_SLOTS)
-
-
-def _jitter_params(cv: float) -> tuple[float, float] | None:
-    """(mean, sigma) of the lognormal jitter for ``cv``; None = no draw.
-
-    Matches ``ComputeModel._jitter``: ``sigma = lognormal_sigma(cv)``,
-    ``mean = -sigma**2 / 2.0``.
-    """
-    if cv <= 0:
-        return None
-    sigma = lognormal_sigma(cv)
-    return (-(sigma**2) / 2.0, sigma)
-
-
-def _storage_time(lane: _Lane, contention: bool) -> float:
-    """The storage part of one invocation (``ComputeModel.storage_time``).
-
-    One ``size=k`` lognormal draw serves the jitters of all ``k`` transfers
-    (reads, then writes): it consumes the stream exactly like ``k`` scalar
-    draws, the batch rule of :mod:`repro.columnar.draws`.  The durations
-    add up in transfer order, so the sum is the scalar one bit for bit.
-    """
-    bases = lane.storage_bases
-    total = 0.0
-    if lane.s_jitter:
-        jitters = lane.sto_lognormal(lane.s_mean, lane.s_sigma, len(bases)).tolist()
-        if contention:
-            slowdown = lane.contention_slowdown
-            for base, jitter in zip(bases, jitters):
-                total += base * jitter * slowdown
-        else:
-            for base, jitter in zip(bases, jitters):
-                total += base * jitter
-    elif contention:
-        slowdown = lane.contention_slowdown
-        for base in bases:
-            total += base * slowdown
-    else:
-        for base in bases:
-            total += base
-    return total
-
-
 def _flush_history(lanes: dict, retention: int | None) -> None:
     """Materialise the buffered provider-log entries into state.history.
 
@@ -432,8 +249,6 @@ def _flush_history(lanes: dict, retention: int | None) -> None:
     deque (``maxlen=retention``) keeps exactly the entries a scalar replay
     would have kept, in the same order.
     """
-    from ..simulator.platform_sim import _LogEntry
-
     for lane in lanes.values():
         log = lane.log
         start = 0
@@ -483,7 +298,6 @@ def _replay(
     position_iter = iter(positions) if positions is not None else itertools.count()
 
     lanes: dict[str, _Lane] = {}
-    templates: dict = {}
     #: Lanes whose pool saw an eviction since the last prune interval (dict
     #: used as an ordered set).  Pruning only these keeps the interval cost
     #: O(dirty) instead of O(deployed functions) — the difference between
@@ -566,7 +380,7 @@ def _replay(
             fname = request.function_name
             lane = lanes.get(fname)
             if lane is None:
-                lane = lanes[fname] = _build_lane(platform, fname, templates)
+                lane = lanes[fname] = _build_lane(platform, fname)
                 if record_mode:
                     lane.lane_idx = block.add_lane(
                         LaneMeta(
@@ -649,7 +463,7 @@ def _replay(
             else:
                 compute_t = lane.compute_base * float(lane.c_lognormal(jit[0], jit[1]))
             contention = lane.sto_random() < lane.contention_p
-            storage_t = _storage_time(lane, contention) if lane.storage_bases else 0.0
+            storage_t = storage_burst_time(lane, lane.sto_lognormal, contention) if lane.storage_bases else 0.0
             benchmark_time = compute_t + storage_t
             if cold:
                 cold_init_s = lane.cold_init_time(lane.profile, lane.memory_mb, lane.package_mb)
@@ -659,24 +473,16 @@ def _replay(
                 max(1.0, lane.peak_memory_mb * max(0.85, lane.c_normal(loc=1.0, scale=0.03)))
             )
 
-            # ---- reliability check (scalar: ReliabilityModel.check) ------
+            # ---- reliability check (scalar: the reliability model's failure)
             error = None
-            rel_take = lane.rel_take
-            if rel_take is not None:
-                if not lane.rel_dynamic:
-                    if lane.rel_strict:
-                        if memory_used > lane.memory_mb:
-                            error = "out-of-memory"
-                        elif lane.rel_borderline and rel_take() < 0.05:
-                            error = "out-of-memory"
-                    elif memory_used > lane.rel_lenient_threshold:
-                        error = "out-of-memory"
-                if error is None and lane.rel_burst and concurrency >= 10:
-                    if lane.rel_gcp:
-                        probability = 0.6 if (lane.rel_highmem and concurrency >= 50) else 0.01
-                    else:
-                        probability = 0.02
-                    if rel_take() < probability:
+            if memory_used > lane.oom_limit_mb:
+                error = "out-of-memory"
+            elif lane.sporadic_oom_p and lane.rel_take() < lane.sporadic_oom_p:
+                error = "out-of-memory"
+            else:
+                burst = lane.burst_p
+                if burst is not None and concurrency >= 10:
+                    if lane.rel_take() < (burst[1] if concurrency >= 50 else burst[0]):
                         error = "unavailable"
 
             # ---- gateway / payload / network (scalar: reserved-invocation)
@@ -740,7 +546,7 @@ def _replay(
                 provider_time_s = lane.timeout_s
                 client_time_s = invocation_overhead_s + provider_time_s + response_network_s
 
-            # ---- billing (scalar: BillingModel) --------------------------
+            # ---- billing (scalar: CompiledBilling) ------------------------
             # Inlined round_up(max(provider_time_s, min_billed), granularity):
             # snap to the nearest multiple when within float tolerance, else
             # round up — op-for-op repro.utils.units.round_up.

@@ -41,9 +41,10 @@ class LaneMeta:
     """Per-function constants shared by every record of one lane.
 
     ``statics`` maps ``(via_http, success)`` to the duration-independent
-    ``(request_cost, storage_cost, egress_cost)`` components, precomputed
-    through the billing model's own ``_static_cost_components`` so the
-    floats are byte-for-byte the scalar path's.
+    ``(request_cost, storage_cost, egress_cost)`` components, taken from
+    the function's compiled billing constants
+    (:meth:`~repro.faas.billing.BillingModel.compile`), so the floats are
+    the generator loop's.
     """
 
     function_name: str

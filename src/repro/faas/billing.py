@@ -21,7 +21,8 @@ reproduce the pricing rules referenced by the paper (2020 list prices):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..config import DYNAMIC_MEMORY, Provider
 from ..exceptions import ConfigurationError
@@ -59,6 +60,43 @@ class CostBreakdown:
         )
 
 
+class CompiledBilling(NamedTuple):
+    """Per-class billing constants (see :meth:`BillingModel.compile`)."""
+
+    #: A VM bills its hourly price for the execution time and nothing else.
+    is_vm: bool
+    vm_price: float
+    min_billed: float
+    granularity: float
+    gb_price: float
+    #: Bill measured memory (Azure, or any dynamic allocation) instead of
+    #: the declared allocation.
+    bills_avg: bool
+    #: Declared allocation in GB.
+    mem_gb_const: float
+    mem_gran: float
+    mem_overhead: float
+    #: ``(via_http, success)`` -> duration-independent ``(request, storage,
+    #: egress)`` costs; a failed invocation returns no output.
+    statics: dict
+
+    def billed_duration(self, duration_s: float) -> float:
+        """Round an execution duration up to the billing granularity."""
+        return round_up(max(duration_s, self.min_billed), self.granularity)
+
+    def billed_memory_gb(self, used_memory_mb: float) -> float:
+        """Memory the provider charges for, in GB."""
+        if self.bills_avg:
+            return round_up(max(used_memory_mb, 1.0) + self.mem_overhead, self.mem_gran) / 1024.0
+        return self.mem_gb_const
+
+    def compute_cost(self, duration_s: float, billed_duration_s: float, used_memory_mb: float) -> float:
+        """Duration-dependent cost of one invocation."""
+        if self.is_vm:
+            return duration_s / 3600.0 * self.vm_price
+        return billed_duration_s * self.billed_memory_gb(used_memory_mb) * self.gb_price
+
+
 @dataclass(frozen=True)
 class BillingModel:
     """Pay-as-you-go pricing rules of one provider."""
@@ -81,26 +119,17 @@ class BillingModel:
     #: set, which is why its dynamically allocated deployments cost more and
     #: cannot be tuned down, Section 6.3 Q1).
     billed_memory_overhead_mb: float = 0.0
-    #: Cache of the duration-independent cost terms, keyed by
-    #: (output_bytes, storage_requests, via_http_api).  Excluded from
-    #: equality/hashing; purely a memoisation of pure arithmetic.
-    _static_costs: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def _static_cost_components(
         self, output_bytes: int, storage_requests: int, via_http_api: bool
     ) -> tuple[float, float, float]:
-        """(request, storage, egress) costs — invariant per (function, outcome).
+        """(request, storage, egress) costs of one invocation.
 
-        These terms depend only on the work profile and trigger, not on the
-        sampled duration/memory of the invocation, so on trace replays they
-        are computed once per function instead of once per request.  The
-        arithmetic is byte-for-byte the inline computation, so cached and
-        uncached paths yield identical floats.
+        They depend only on the work profile, the trigger and the outcome,
+        not on the sampled duration or memory.  A VM bills none of them.
         """
-        key = (output_bytes, storage_requests, via_http_api)
-        cached = self._static_costs.get(key)
-        if cached is not None:
-            return cached
+        if self.vm_hourly_price > 0:
+            return (0.0, 0.0, 0.0)
         request_cost = self.request_price_per_million / 1e6
         if via_http_api and self.http_api_price_per_million > 0:
             payload_units = max(
@@ -111,28 +140,44 @@ class BillingModel:
             request_cost += self.http_api_price_per_million / 1e6 * payload_units
         storage_cost = storage_requests / 10_000.0 * self.storage_request_price_per_10k
         egress_cost = output_bytes / (1024.0**3) * self.egress_price_per_gb
-        components = (request_cost, storage_cost, egress_cost)
-        if len(self._static_costs) < 4096:  # kernel mode can vary output sizes
-            self._static_costs[key] = components
-        return components
+        return (request_cost, storage_cost, egress_cost)
+
+    def compile(self, memory_mb: int, output_bytes: int = 0, storage_requests: int = 0) -> CompiledBilling:
+        """The billing constants every invocation of one function class shares.
+
+        ``output_bytes`` and ``storage_requests`` are the class's output
+        size and storage requests per invocation.  AWS and GCP charge the
+        *declared* memory regardless of use; Azure measures average
+        consumption and rounds it up to 128 MB.
+        """
+        return CompiledBilling(
+            is_vm=self.vm_hourly_price > 0,
+            vm_price=self.vm_hourly_price,
+            min_billed=self.minimum_billed_duration_s,
+            granularity=self.duration_granularity_s,
+            gb_price=self.gb_second_price,
+            bills_avg=self.bills_average_memory or memory_mb == DYNAMIC_MEMORY,
+            mem_gb_const=float(memory_mb) / 1024.0,
+            mem_gran=float(self.memory_granularity_mb),
+            mem_overhead=self.billed_memory_overhead_mb,
+            statics={
+                (via_http, success): self._static_cost_components(
+                    output_bytes if success else 0, storage_requests, via_http
+                )
+                for via_http in (False, True)
+                for success in (False, True)
+            },
+        )
 
     def billed_duration(self, duration_s: float) -> float:
         """Round an execution duration up to the billing granularity."""
         if duration_s < 0:
             raise ConfigurationError("duration cannot be negative")
-        rounded = round_up(max(duration_s, self.minimum_billed_duration_s), self.duration_granularity_s)
-        return rounded
+        return self.compile(DYNAMIC_MEMORY).billed_duration(duration_s)
 
     def billed_memory_mb(self, declared_memory_mb: int, used_memory_mb: float) -> float:
-        """Memory the provider charges for.
-
-        AWS and GCP charge the *declared* allocation regardless of use; Azure
-        measures average consumption and rounds it up to 128 MB.
-        """
-        if self.bills_average_memory or declared_memory_mb == DYNAMIC_MEMORY:
-            measured = max(used_memory_mb, 1.0) + self.billed_memory_overhead_mb
-            return round_up(measured, float(self.memory_granularity_mb))
-        return float(declared_memory_mb)
+        """Memory the provider charges for."""
+        return self.compile(declared_memory_mb).billed_memory_gb(used_memory_mb) * 1024.0
 
     def invocation_cost(
         self,
@@ -147,21 +192,16 @@ class BillingModel:
         """Full cost of one invocation (request + compute + storage + egress).
 
         ``billed_duration_s`` lets a caller that already rounded the duration
-        (the simulator records it on every invocation) skip the second
-        rounding pass.
+        skip the second rounding pass.  A VM's cost is purely time-based
+        (see :meth:`hourly_cost`).
         """
-        if self.vm_hourly_price > 0:
-            # IaaS: cost is purely time-based, handled by hourly_cost().
-            return CostBreakdown(request_cost=0.0, compute_cost=duration_s / 3600.0 * self.vm_hourly_price)
-        billed_s = self.billed_duration(duration_s) if billed_duration_s is None else billed_duration_s
-        billed_mem_gb = self.billed_memory_mb(declared_memory_mb, used_memory_mb) / 1024.0
-        request_cost, storage_cost, egress_cost = self._static_cost_components(
-            output_bytes, storage_requests, via_http_api
-        )
-        compute_cost = billed_s * billed_mem_gb * self.gb_second_price
+        compiled = self.compile(declared_memory_mb, output_bytes, storage_requests)
+        if billed_duration_s is None and not compiled.is_vm:
+            billed_duration_s = self.billed_duration(duration_s)
+        request_cost, storage_cost, egress_cost = compiled.statics[(via_http_api, True)]
         return CostBreakdown(
             request_cost=request_cost,
-            compute_cost=compute_cost,
+            compute_cost=compiled.compute_cost(duration_s, billed_duration_s, used_memory_mb),
             storage_cost=storage_cost,
             egress_cost=egress_cost,
         )
@@ -240,15 +280,5 @@ _BILLING_MODELS: dict[Provider, BillingModel] = {
 
 
 def billing_model_for(provider: Provider) -> BillingModel:
-    """Return the billing model of ``provider``.
-
-    Each call returns a *fresh* instance with its own (empty) static-cost
-    memo.  The module-level table used to be handed out directly, which
-    made its mutable ``_static_costs`` cache shared state across every
-    platform in the process — harmless for determinism (the memo is pure
-    arithmetic) but a latent per-shard isolation leak, and a data race
-    waiting to happen if platforms ever run on threads.  Pricing fields are
-    frozen and excluded caches don't participate in equality, so the copies
-    compare equal to the originals.
-    """
-    return replace(_BILLING_MODELS[provider], _static_costs={})
+    """Return the billing model of ``provider`` (frozen, safe to share)."""
+    return _BILLING_MODELS[provider]

@@ -237,7 +237,9 @@ class TraceIngest:
             tenant_names: list[str] = []
             tenant_of: dict[str, int] = {}
             triggers: list[TriggerType] = []
-            rows: list[list[int]] = []
+            rows: list[list[float]] = []
+            #: File line of each kept row, by its (owner, app, function) identity.
+            identities: dict[tuple[str, str, str], int] = {}
             for row_number, row in enumerate(reader):
                 if limit is not None and len(rows) >= limit:
                     break
@@ -250,6 +252,13 @@ class TraceIngest:
                     )
                 app = row[columns["HashApp"]]
                 fn = row[columns["HashFunction"]]
+                identity = (row[columns["HashOwner"]], app, fn)
+                if identity in identities:
+                    raise ConfigurationError(
+                        f"trace file {path} row {row_number + 2} repeats the "
+                        f"(HashOwner, HashApp, HashFunction) of row {identities[identity]}"
+                    )
+                identities[identity] = row_number + 2
                 if app not in tenant_of:
                     tenant_of[app] = len(tenant_names)
                     tenant_names.append(f"app-{app[:12]}")
@@ -258,7 +267,7 @@ class TraceIngest:
                 raw_trigger = row[trigger_col].strip().lower() if trigger_col is not None else ""
                 triggers.append(TRIGGER_MAP.get(raw_trigger, TriggerType.HTTP))
                 try:
-                    rows.append([int(float(row[i])) for i in minute_cols])
+                    rows.append([float(row[i]) for i in minute_cols])
                 except ValueError as error:
                     raise ConfigurationError(
                         f"trace file {path} row {row_number + 2} has a "
@@ -266,13 +275,26 @@ class TraceIngest:
                     ) from None
         if not rows:
             raise ConfigurationError(f"trace file {path} has no data rows")
+        counts = np.asarray(rows, dtype=np.float64)
+        for kind, bad in (
+            ("non-finite", ~np.isfinite(counts)),
+            ("negative", counts < 0),
+            ("non-integer", counts != np.floor(counts)),
+            ("too large", counts > 2.0**62),
+        ):
+            if bad.any():
+                r, c = np.argwhere(bad)[0]
+                raise ConfigurationError(
+                    f"trace file {path} row {list(identities.values())[r]} has a "
+                    f"{kind} invocation count: {float(counts[r, c])}"
+                )
         return IngestedPopulation(
             name=name or path.stem,
             function_names=tuple(function_names),
             tenant_index=tuple(tenant_index),
             tenant_names=tuple(tenant_names),
             triggers=tuple(triggers),
-            counts=np.asarray(rows, dtype=np.int64),
+            counts=counts.astype(np.int64),
             profiles=profiles,
         )
 

@@ -19,7 +19,7 @@ the three durations SeBS measures for every invocation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,19 +27,61 @@ from ..benchmarks.base import WorkProfile
 from ..config import DYNAMIC_MEMORY
 from ..faas.limits import PlatformLimits
 from ..storage.latency import StorageLatencyModel
-from ..utils.rng import lognormal_sigma
+from ..utils.rng import lognormal_jitter
 from .profiles import ProviderPerformanceProfile
 
 
-@dataclass(frozen=True)
-class ExecutionSample:
-    """One simulated execution of a benchmark inside a sandbox."""
+class CompiledCompute(NamedTuple):
+    """Per-class constants of :class:`ComputeModel` (see :meth:`ComputeModel.compile`)."""
 
-    benchmark_time_s: float
-    compute_time_s: float
-    storage_time_s: float
-    cold_init_s: float
-    memory_used_mb: float
+    #: CPU time before jitter: the warm compute time over the CPU share.
+    compute_base: float
+    #: ``(mean, sigma)`` of the compute jitter of a solo and of a concurrent
+    #: invocation; ``None``: no jitter, no draw.
+    jit_solo: tuple[float, float] | None
+    jit_conc: tuple[float, float] | None
+    #: Duration of each storage transfer before jitter and contention, reads
+    #: then writes (empty when the profile does no storage I/O).
+    storage_bases: tuple[float, ...]
+    storage_jitter: tuple[float, float] | None
+    contention_p: float
+    contention_slowdown: float
+
+
+def storage_burst_time(constants, lognormal, contention: bool) -> float:
+    """The storage part of one invocation: all its transfers, summed.
+
+    ``constants`` carries ``storage_bases``, ``storage_jitter`` and
+    ``contention_slowdown`` (a :class:`CompiledCompute` or a columnar lane);
+    ``lognormal`` is the storage stream's ``Generator.lognormal``.  One
+    ``size=k`` draw serves the jitters of all ``k`` transfers: it consumes
+    the stream exactly like ``k`` scalar draws, and the durations add up in
+    transfer order, so the sum equals ``k`` calls of
+    :meth:`~repro.storage.latency.StorageLatencyModel.transfer_time` bit for
+    bit.
+    """
+    bases = constants.storage_bases
+    if not bases:
+        return 0.0
+    total = 0.0
+    jitter = constants.storage_jitter
+    if jitter is not None:
+        jitters = lognormal(jitter[0], jitter[1], len(bases)).tolist()
+        if contention:
+            slowdown = constants.contention_slowdown
+            for base, value in zip(bases, jitters):
+                total += base * value * slowdown
+        else:
+            for base, value in zip(bases, jitters):
+                total += base * value
+    elif contention:
+        slowdown = constants.contention_slowdown
+        for base in bases:
+            total += base * slowdown
+    else:
+        for base in bases:
+            total += base
+    return total
 
 
 class ComputeModel:
@@ -55,10 +97,6 @@ class ComputeModel:
         self._limits = limits
         self._rng = rng
         self._storage_model = StorageLatencyModel(performance.storage, rng)
-        # Pure-function caches for the per-invocation hot path.  Every entry
-        # stores the exact float the inline computation would produce, so
-        # replays are bit-identical with or without a warm cache.
-        self._share_cache: dict[int, float] = {}
 
     @property
     def storage_model(self) -> StorageLatencyModel:
@@ -72,56 +110,74 @@ class ComputeModel:
 
     def cpu_share(self, memory_mb: int) -> float:
         """Usable CPU share: proportional to memory, capped at one full vCPU."""
-        cached = self._share_cache.get(memory_mb)
-        if cached is None:
-            share = self._limits.cpu_share(self.effective_memory(memory_mb))
-            cached = self._share_cache[memory_mb] = float(min(1.0, share))
-        return cached
+        return float(min(1.0, self._limits.cpu_share(self.effective_memory(memory_mb))))
 
-    def _jitter(self, cv: float) -> float:
-        if cv <= 0:
+    def compile(self, profile: WorkProfile, memory_mb: int) -> CompiledCompute:
+        """The constants every invocation of ``profile`` under ``memory_mb`` shares.
+
+        The storage constants come from this model's storage model, which a
+        platform may replace (IaaS reads its data from S3).
+        """
+        performance = self._performance
+        storage = self._storage_model
+        effective = self.effective_memory(memory_mb)
+        bases: list[float] = []
+        for size, requests in (
+            (profile.storage_read_bytes, profile.storage_read_requests),
+            (profile.storage_write_bytes, profile.storage_write_requests),
+        ):
+            if size > 0 or requests > 0:
+                requests = max(1, requests)
+                bases += [storage.transfer_base(size // requests, effective)] * requests
+        cv = performance.compute_jitter_cv
+        return CompiledCompute(
+            compute_base=profile.warm_compute_s * performance.compute_speed_factor / self.cpu_share(memory_mb),
+            jit_solo=lognormal_jitter(cv),
+            jit_conc=lognormal_jitter(cv * performance.concurrency_jitter_factor),
+            storage_bases=tuple(bases),
+            storage_jitter=lognormal_jitter(storage.profile.jitter_cv),
+            contention_p=storage.profile.contention_tail_probability,
+            contention_slowdown=storage.profile.contention_slowdown,
+        )
+
+    def _jitter(self, params: tuple[float, float] | None) -> float:
+        if params is None:
             return 1.0
-        sigma = lognormal_sigma(cv)
-        return float(self._rng.lognormal(mean=-sigma**2 / 2.0, sigma=sigma))
+        return float(self._rng.lognormal(mean=params[0], sigma=params[1]))
+
+    def _compute_time(self, compiled: CompiledCompute, concurrent: bool) -> float:
+        return compiled.compute_base * self._jitter(compiled.jit_conc if concurrent else compiled.jit_solo)
+
+    def _storage_time(self, compiled: CompiledCompute) -> float:
+        # A contention event (a co-located function saturating the server
+        # NIC) is drawn once per invocation and applied to every transfer,
+        # which is what turns long, storage-heavy invocations into stragglers.
+        storage = self._storage_model
+        contention = storage.draw_contention()
+        return storage_burst_time(compiled, storage._rng.lognormal, contention)
+
+    def benchmark_time(self, compiled: CompiledCompute, concurrent: bool) -> float:
+        """Compute plus storage time of one invocation of ``compiled``'s class.
+
+        Draws the compute jitter, the contention event, then the transfer
+        jitters, in the order the columnar loop replays them.
+        """
+        return self._compute_time(compiled, concurrent) + self._storage_time(compiled)
 
     def compute_time(self, profile: WorkProfile, memory_mb: int, concurrent: bool = False) -> float:
         """CPU portion of the benchmark time under ``memory_mb``."""
-        performance = self._performance
-        share = self.cpu_share(memory_mb)
-        base = profile.warm_compute_s * performance.compute_speed_factor / share
-        cv = performance.compute_jitter_cv
-        if concurrent:
-            cv *= performance.concurrency_jitter_factor
-        return base * self._jitter(cv)
+        return self._compute_time(self.compile(profile, memory_mb), concurrent)
 
     def storage_time(self, profile: WorkProfile, memory_mb: int) -> float:
-        """Persistent-storage portion of the benchmark time.
-
-        A contention event (a co-located function saturating the server NIC)
-        is drawn once per invocation and applied to every transfer, which is
-        what turns long, storage-heavy invocations into stragglers.
-        """
-        effective = self.effective_memory(memory_mb)
-        contention = self._storage_model.draw_contention()
-        total = 0.0
-        if profile.storage_read_bytes > 0 or profile.storage_read_requests > 0:
-            requests = max(1, profile.storage_read_requests)
-            per_request = profile.storage_read_bytes // requests
-            for _ in range(requests):
-                total += self._storage_model.transfer_time(per_request, effective, contention=contention)
-        if profile.storage_write_bytes > 0 or profile.storage_write_requests > 0:
-            requests = max(1, profile.storage_write_requests)
-            per_request = profile.storage_write_bytes // requests
-            for _ in range(requests):
-                total += self._storage_model.transfer_time(per_request, effective, contention=contention)
-        return total
+        """Persistent-storage portion of the benchmark time."""
+        return self._storage_time(self.compile(profile, memory_mb))
 
     def cold_init_time(self, profile: WorkProfile, memory_mb: int, code_package_mb: float) -> float:
         """Cold-start latency: provisioning + package fetch + runtime init."""
         performance = self._performance
         cold = performance.cold_start
         share = self.cpu_share(memory_mb)
-        provisioning = cold.provisioning_s * self._jitter(cold.jitter_cv)
+        provisioning = cold.provisioning_s * self._jitter(lognormal_jitter(cold.jitter_cv))
         package_fetch = code_package_mb / cold.package_bandwidth_mbps
         runtime_init = profile.cold_init_s * cold.init_multiplier / share
         penalty = cold.highmem_penalty_s_per_gb * (self.effective_memory(memory_mb) / 1024.0)
@@ -134,23 +190,3 @@ class ComputeModel:
         """Peak memory of one invocation with small measurement noise."""
         noise = self._rng.normal(loc=1.0, scale=0.03)
         return float(max(1.0, profile.peak_memory_mb * max(0.85, noise)))
-
-    def execute(
-        self,
-        profile: WorkProfile,
-        memory_mb: int,
-        cold: bool,
-        code_package_mb: float,
-        concurrent: bool = False,
-    ) -> ExecutionSample:
-        """Produce all durations of one invocation."""
-        compute = self.compute_time(profile, memory_mb, concurrent)
-        storage = self.storage_time(profile, memory_mb)
-        cold_init = self.cold_init_time(profile, memory_mb, code_package_mb) if cold else 0.0
-        return ExecutionSample(
-            benchmark_time_s=compute + storage,
-            compute_time_s=compute,
-            storage_time_s=storage,
-            cold_init_s=cold_init,
-            memory_used_mb=self.memory_used(profile),
-        )

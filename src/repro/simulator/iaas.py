@@ -19,7 +19,7 @@ from ..config import Provider, SimulationConfig, StartType
 from ..storage.latency import StorageLatencyModel
 from ..utils.clock import VirtualClock
 from .compute import ComputeModel
-from .containers import Container
+from .containers import Container, ContainerState
 from .eviction import EvictionPolicy
 from .platform_sim import SimulatedPlatform
 from .profiles import IAAS_S3_STORAGE_PROFILE
@@ -68,10 +68,11 @@ class IaaSPlatform(SimulatedPlatform):
 
     def _acquire_container(self, function, state, start_at):  # type: ignore[override]
         # The VM's worker process is always running: the first invocation
+        # (and the first after an update, which evicts the old record)
         # creates the bookkeeping record, but every execution is "warm".
-        containers = state.pool.all_containers()
-        if containers:
-            return containers[0], StartType.WARM
+        for container in state.pool.all_containers():
+            if container.state is not ContainerState.EVICTED:
+                return container, StartType.WARM
         container = Container(
             function_name=function.name,
             function_version=function.version,

@@ -16,16 +16,19 @@ The invocation path is built for trace replay at scale: sandbox acquisition
 is an indexed MRU pick plus an O(1) eviction-deadline peek (no pool scans),
 sandbox occupancy is a multiset maintained through
 :meth:`~repro.simulator.containers.ContainerPool.reserve` /
-:meth:`~repro.simulator.containers.ContainerPool.release`, and per-function
-invariants (the resolved work profile) are cached instead of re-derived per
-request.  See ``docs/architecture.md`` ("Performance internals").
+:meth:`~repro.simulator.containers.ContainerPool.release`, and the constants
+an invocation shares with its function *class* (the work profile and what
+the compute, reliability and billing models compile from it) are compiled
+once per class, cached on the platform and read by both replay loops (see
+:class:`FunctionClass`).  See ``docs/architecture.md`` ("Performance
+internals").
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 import json
 
@@ -47,7 +50,7 @@ from ..exceptions import (
     FunctionAlreadyExistsError,
     PlatformError,
 )
-from ..faas.billing import BillingModel, CostBreakdown, billing_model_for
+from ..faas.billing import BillingModel, CompiledBilling, CostBreakdown, billing_model_for
 from ..faas.function import CodePackage, DeployedFunction
 from ..columnar.draws import install_draw_blocks
 from ..faults.plane import build_fault_state
@@ -59,16 +62,55 @@ from ..workload.trace import WorkloadTrace
 from ..network.latency import NetworkLink
 from ..utils.clock import VirtualClock
 from ..utils.rng import RandomStreams
-from .compute import ComputeModel
+from .compute import CompiledCompute, ComputeModel
 from .containers import Container, ContainerPool
 from .eviction import EvictionPolicy
 from .profiles import ProviderPerformanceProfile, profile_for
-from .reliability import ReliabilityModel
+from .reliability import CompiledReliability, ReliabilityModel
 
 #: Size of the UTF-8 encoding of an empty JSON payload (``b"{}"``) — the
 #: overwhelmingly common case on trace replays, special-cased to avoid a
 #: json.dumps round trip per request.
 _EMPTY_PAYLOAD_BYTES = len(json.dumps({}).encode("utf-8"))
+
+
+class CompiledOverhead(NamedTuple):
+    """Per-class gateway, payload, response and network constants."""
+
+    http_base: float
+    sdk_base: float
+    #: Payload upload bandwidth in bytes per second.
+    payload_denom: float
+    #: Upload time of an empty payload.
+    empty_upload: float
+    #: Response download bandwidth in bytes per second.
+    response_denom: float
+    #: Download time of the class's output.
+    response_download_s: float
+    #: Network delay floors of the request and the response direction.
+    req_base: float
+    resp_base: float
+
+
+class FunctionClass(NamedTuple):
+    """The compiled invocation constants of one function *class*.
+
+    A class is what fixes every constant an invocation shares with its
+    function: benchmark, input size, language, memory, package size,
+    timeout and the storage and network profiles.  Each model compiles its
+    part (:meth:`ComputeModel.compile`, :meth:`ReliabilityModel.compile`,
+    :meth:`BillingModel.compile`); the generator loop reads the parts per
+    invocation and the columnar loop copies their fields into its lanes.
+    """
+
+    profile: WorkProfile
+    memory_mb: int
+    package_mb: float
+    timeout_s: float
+    compute: CompiledCompute
+    reliability: CompiledReliability
+    billing: CompiledBilling
+    overhead: CompiledOverhead
 
 
 @dataclass
@@ -89,9 +131,9 @@ class _FunctionRuntimeState:
     """Per-function simulator state.
 
     ``history`` is a deque so that :attr:`SimulationConfig.log_retention`
-    can bound it; ``profile`` caches the resolved work profile keyed by
-    ``profile_key`` so it is computed once per (benchmark, size, language),
-    not once per request.
+    can bound it; ``klass`` caches the function's :class:`FunctionClass`
+    until :meth:`SimulatedPlatform.update_function` or
+    :meth:`SimulatedPlatform.set_input_size` changes the class.
 
     The stochastic models (``compute``, ``reliability``, ``network`` and
     the spurious/gateway streams) are *per function*, each drawing from a
@@ -115,8 +157,7 @@ class _FunctionRuntimeState:
     language: Language = Language.PYTHON
     input_size: InputSize = InputSize.SMALL
     history: deque[_LogEntry] = field(default_factory=deque)
-    profile: WorkProfile | None = None
-    profile_key: tuple | None = None
+    klass: FunctionClass | None = None
     #: Admission gate (:class:`repro.concurrency.FunctionThrottle`); ``None``
     #: when the overload model is disabled — the engine then admits
     #: unconditionally.
@@ -174,15 +215,10 @@ class SimulatedPlatform(FaaSPlatform):
         )
         self.eviction_policy: EvictionPolicy = self._build_eviction_policy()
 
-        # Hot-path invariants hoisted out of _simulate_invocation: profile
-        # scalars (the per-function stream handles live on the runtime
-        # state, hoisted the same way).
+        # Hot-path scalars of the profile; per-class constants live on the
+        # compiled function classes (see _class_of).
         self._spurious_probability = self.performance.spurious_cold_start_probability
-        self._invocation_profile = self.performance.invocation
         self._runtime_overhead_s = self.performance.runtime_overhead_s
-        gateway_sigma = float(self._invocation_profile.warm_jitter_cv)
-        self._gateway_sigma = gateway_sigma
-        self._gateway_mean = -(gateway_sigma**2) / 2.0
 
         # Overload model (None = admit everything, the pre-overload paths
         # stay byte-identical).  The retry policy object is stateless and
@@ -214,10 +250,9 @@ class SimulatedPlatform(FaaSPlatform):
                     base_delay_s=self._resilience.retry_base_delay_s,
                     max_delay_s=self._resilience.retry_max_delay_s,
                 )
-        #: Whether trace replay must run the controlled (event-buffering)
-        #: engine path: any of overload admission, fault injection or
-        #: client resilience is active.  The fast path stays byte-identical
-        #: to earlier releases whenever this is False.
+        #: Whether batch replay must take the generator loop
+        #: (``WorkloadEngine.stream``) instead of the columnar one: overload
+        #: admission, fault injection or client resilience is active.
         self._controlled_replay = (
             self._overload is not None
             or self._faults is not None
@@ -228,6 +263,8 @@ class SimulatedPlatform(FaaSPlatform):
         #: Persistent storage attached to this deployment (S3 / Blob / GCS).
         self.object_store = ObjectStore(name=f"{self.provider.value}-storage")
         self._state: dict[str, _FunctionRuntimeState] = {}
+        #: Compiled constants per function class (see :meth:`_class_of`).
+        self._classes: dict[tuple, FunctionClass] = {}
         #: Optional :class:`repro.observe.events.ReplayObserver`, attached
         #: for the duration of a replay (container lifecycle hooks).  Every
         #: hook site is ``if self._observer is not None``-guarded and fires
@@ -318,13 +355,60 @@ class SimulatedPlatform(FaaSPlatform):
     def _benchmark_for(self, function: DeployedFunction) -> Benchmark:
         return self.registry.get(function.benchmark)
 
-    def _profile_for(self, function: DeployedFunction, state: _FunctionRuntimeState) -> WorkProfile:
-        key = (function.benchmark, state.input_size, state.language)
-        if state.profile_key != key:
-            benchmark = self._benchmark_for(function)
-            state.profile = benchmark.profile(size=state.input_size, language=state.language)
-            state.profile_key = key
-        return state.profile
+    def _class_of(self, function: DeployedFunction, state: _FunctionRuntimeState) -> FunctionClass:
+        """The compiled constants of ``function``'s class.
+
+        Cached on the runtime state, and shared on the platform by every
+        function of the class, so each class compiles once.
+        """
+        klass = state.klass
+        if klass is None:
+            config = function.config
+            key = (
+                function.benchmark, state.input_size, state.language, config.memory_mb,
+                function.package.size_mb, config.timeout_s,
+                id(state.compute.storage_model.profile), id(state.network.profile),
+            )
+            klass = self._classes.get(key)
+            if klass is None:
+                profile = self._benchmark_for(function).profile(
+                    size=state.input_size, language=state.language
+                )
+                klass = self._classes[key] = self._compile_class(profile, function, state)
+            state.klass = klass
+        return klass
+
+    def _compile_class(
+        self, profile: WorkProfile, function: DeployedFunction, state: _FunctionRuntimeState
+    ) -> FunctionClass:
+        """Compile the constants of ``function``'s class running ``profile``."""
+        memory_mb = function.config.memory_mb
+        invocation = self.performance.invocation
+        payload_denom = invocation.payload_bandwidth_mbps * 1024 * 1024
+        response_denom = invocation.response_bandwidth_mbps * 1024 * 1024
+        return FunctionClass(
+            profile=profile,
+            memory_mb=memory_mb,
+            package_mb=function.package.size_mb,
+            timeout_s=function.config.timeout_s,
+            compute=state.compute.compile(profile, memory_mb),
+            reliability=state.reliability.compile(profile, memory_mb),
+            billing=self.billing.compile(
+                memory_mb,
+                profile.output_bytes,
+                profile.storage_read_requests + profile.storage_write_requests,
+            ),
+            overhead=CompiledOverhead(
+                http_base=invocation.http_gateway_s,
+                sdk_base=invocation.sdk_overhead_s,
+                payload_denom=payload_denom,
+                empty_upload=_EMPTY_PAYLOAD_BYTES / payload_denom,
+                response_denom=response_denom,
+                response_download_s=profile.output_bytes / response_denom,
+                req_base=state.network._request_base,
+                resp_base=state.network._response_base,
+            ),
+        )
 
     # --------------------------------------------------------- FaaS interface
     def package_code(self, benchmark_name: str, language: Language) -> CodePackage:
@@ -389,6 +473,7 @@ class SimulatedPlatform(FaaSPlatform):
         # all warm sandboxes (this is how SeBS enforces cold starts).
         state = self._runtime_state(fname)
         state.pool.evict_all()
+        state.klass = None
         return function
 
     def query_logs(self, fname: str, query: LogQueryType) -> list[float]:
@@ -404,7 +489,9 @@ class SimulatedPlatform(FaaSPlatform):
     # ------------------------------------------------------------ invocation
     def set_input_size(self, fname: str, size: InputSize) -> None:
         """Select the input-size preset the simulator assumes for ``fname``."""
-        self._runtime_state(fname).input_size = size
+        state = self._runtime_state(fname)
+        state.input_size = size
+        state.klass = None
 
     def warm_container_count(self, fname: str) -> int:
         """Number of currently warm sandboxes (after applying eviction)."""
@@ -873,7 +960,7 @@ class SimulatedPlatform(FaaSPlatform):
         per-function jitter streams, so an admitted execution's numbers are
         identical whether or not earlier requests got throttled.
         """
-        profile = self._invocation_profile
+        profile = self.performance.invocation
         return profile.http_gateway_s if trigger is TriggerType.HTTP else profile.sdk_overhead_s
 
     def _overload_record(
@@ -961,82 +1048,54 @@ class SimulatedPlatform(FaaSPlatform):
         state = self._state.get(fname)
         if state is None:
             state = self._runtime_state(fname)
-        profile = self._profile_for(function, state)
-        memory_mb = function.config.memory_mb
-        container, start_type = self._acquire_container(function, state, start_at)
-        state.pool.reserve(container.container_id)
-        try:
-            return self._simulate_reserved_invocation(
-                fname, function, state, profile, container, start_type,
-                payload, trigger, payload_bytes, concurrency, start_at, memory_mb,
-                request_index, fault_scale,
-            )
-        except BaseException:
-            # An exception mid-invocation (e.g. a raising kernel) must not
-            # leave the sandbox reserved forever: the caller never sees a
-            # record to release.  release() re-indexes a warm sandbox whose
-            # MRU entry was already consumed by the pick.
-            state.pool.release(container.container_id)
-            raise
-
-    def _simulate_reserved_invocation(
-        self,
-        fname: str,
-        function: DeployedFunction,
-        state: _FunctionRuntimeState,
-        profile: WorkProfile,
-        container: Container,
-        start_type: StartType,
-        payload: Mapping[str, Any],
-        trigger: TriggerType,
-        payload_bytes: int | None,
-        concurrency: int,
-        start_at: float,
-        memory_mb: int,
-        request_index: int = -1,
-        fault_scale: tuple[float, float] | None = None,
-    ) -> InvocationRecord:
-        sample = state.compute.execute(
-            profile,
-            memory_mb=memory_mb,
-            cold=start_type is StartType.COLD,
-            code_package_mb=function.package.size_mb,
-            concurrent=concurrency > 1,
-        )
-        failure = state.reliability.check(
-            profile,
-            memory_mb=memory_mb,
-            memory_used_mb=sample.memory_used_mb,
-            concurrency=concurrency,
-        )
-
-        output: dict = {}
-        output_bytes = profile.output_bytes
-        if self.execute_kernels and payload and not failure.failed:
-            output, output_bytes = self._execute_kernel(function, payload)
-
+        klass = state.klass
+        if klass is None:
+            klass = self._class_of(function, state)
+        profile = klass.profile
+        overhead = klass.overhead
         if payload_bytes is not None:
-            request_bytes = payload_bytes
+            payload_upload_s = payload_bytes / overhead.payload_denom
         elif payload:
             # Measure the wire size of the request: UTF-8 encoded bytes, not
             # unicode characters — matching _execute_kernel's output
             # accounting.
-            request_bytes = payload_wire_bytes(payload)
+            payload_upload_s = payload_wire_bytes(payload) / overhead.payload_denom
         else:
-            request_bytes = _EMPTY_PAYLOAD_BYTES
-        overhead_profile = self._invocation_profile
+            payload_upload_s = overhead.empty_upload
+
+        container, start_type = self._acquire_container(function, state, start_at)
+        state.pool.reserve(container.container_id)
+        compute = state.compute
+        sampled_benchmark_time_s = compute.benchmark_time(klass.compute, concurrency > 1)
+        if start_type is StartType.COLD:
+            cold_init_s = compute.cold_init_time(profile, klass.memory_mb, klass.package_mb)
+        else:
+            cold_init_s = 0.0
+        memory_used_mb = compute.memory_used(profile)
+        failure_reason = state.reliability.failure(klass.reliability, memory_used_mb, concurrency)
+
+        output: dict = {}
+        output_bytes = profile.output_bytes
+        response_download_s = overhead.response_download_s
+        kernel_ran = bool(self.execute_kernels and payload and failure_reason is None)
+        if kernel_ran:
+            try:
+                output, output_bytes = self._execute_kernel(function, payload)
+            except BaseException:
+                # A raising kernel must not leave the sandbox reserved
+                # forever: the caller never sees a record to release.
+                # release() re-indexes a warm sandbox whose MRU entry was
+                # already consumed by the pick.
+                state.pool.release(container.container_id)
+                raise
+            # The kernel's real output replaces the profile's output size.
+            response_download_s = output_bytes / overhead.response_denom
+
         via_http = trigger is TriggerType.HTTP
-        gateway = overhead_profile.http_gateway_s if via_http else overhead_profile.sdk_overhead_s
-        gateway *= float(
-            state.gateway_stream.lognormal(mean=self._gateway_mean, sigma=self._gateway_sigma)
-        )
-        payload_upload_s = request_bytes / (overhead_profile.payload_bandwidth_mbps * 1024 * 1024)
-        response_download_s = output_bytes / (overhead_profile.response_bandwidth_mbps * 1024 * 1024)
+        gateway = (overhead.http_base if via_http else overhead.sdk_base) * state.gateway_stream.take()
         request_network_s = state.network.one_way_delay("request")
         response_network_s = state.network.one_way_delay("response")
 
-        sampled_benchmark_time_s = sample.benchmark_time_s
-        cold_init_s = sample.cold_init_s
         if fault_scale is not None:
             # An active latency storm scales the already-drawn durations —
             # compute work and sandbox init by the compute multiplier, every
@@ -1054,7 +1113,7 @@ class SimulatedPlatform(FaaSPlatform):
         # Overhead between submitting the request and the function starting.
         invocation_overhead_s = request_network_s + gateway + payload_upload_s + cold_init_s
 
-        if failure.failed:
+        if failure_reason is not None:
             benchmark_time_s = 0.0
             provider_time_s = self._runtime_overhead_s
             success = False
@@ -1066,24 +1125,27 @@ class SimulatedPlatform(FaaSPlatform):
         client_time_s = invocation_overhead_s + provider_time_s + response_download_s + response_network_s
 
         # Time-limit enforcement.
-        if success and provider_time_s > function.config.timeout_s:
+        if success and provider_time_s > klass.timeout_s:
             success = False
             failure_reason = "timeout"
-            provider_time_s = function.config.timeout_s
+            provider_time_s = klass.timeout_s
             client_time_s = invocation_overhead_s + provider_time_s + response_network_s
-        else:
-            failure_reason = failure.reason if failure.failed else None
 
-        billing = self.billing
+        billing = klass.billing
         billed_duration_s = billing.billed_duration(provider_time_s)
-        cost = billing.invocation_cost(
-            duration_s=provider_time_s,
-            declared_memory_mb=memory_mb,
-            used_memory_mb=sample.memory_used_mb,
-            output_bytes=output_bytes if success else 0,
-            storage_requests=profile.storage_read_requests + profile.storage_write_requests,
-            via_http_api=via_http,
-            billed_duration_s=billed_duration_s,
+        if kernel_ran:
+            request_cost, storage_cost, egress_cost = self.billing._static_cost_components(
+                output_bytes if success else 0,
+                profile.storage_read_requests + profile.storage_write_requests,
+                via_http,
+            )
+        else:
+            request_cost, storage_cost, egress_cost = billing.statics[(via_http, success)]
+        cost = CostBreakdown(
+            request_cost=request_cost,
+            compute_cost=billing.compute_cost(provider_time_s, billed_duration_s, memory_used_mb),
+            storage_cost=storage_cost,
+            egress_cost=egress_cost,
         )
 
         started_at = start_at + invocation_overhead_s
@@ -1095,7 +1157,7 @@ class SimulatedPlatform(FaaSPlatform):
             _LogEntry(
                 function_name=fname,
                 provider_time_s=provider_time_s,
-                memory_used_mb=sample.memory_used_mb,
+                memory_used_mb=memory_used_mb,
                 cost_usd=cost.total,
                 start_type=start_type,
                 success=success,
@@ -1114,8 +1176,8 @@ class SimulatedPlatform(FaaSPlatform):
             client_time_s=client_time_s,
             invocation_overhead_s=invocation_overhead_s,
             cold_init_s=cold_init_s,
-            memory_declared_mb=memory_mb,
-            memory_used_mb=sample.memory_used_mb,
+            memory_declared_mb=klass.memory_mb,
+            memory_used_mb=memory_used_mb,
             billed_duration_s=billed_duration_s,
             cost=cost,
             output_bytes=output_bytes,

@@ -18,7 +18,9 @@ implementation stays readable and the failure rates are easy to test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,18 @@ class FailureDecision:
     message: str = ""
 
 
+class CompiledReliability(NamedTuple):
+    """Per-class failure gates of :class:`ReliabilityModel` (see :meth:`ReliabilityModel.compile`)."""
+
+    #: Memory use above this kills the invocation (``inf``: never).
+    oom_limit_mb: float
+    #: Probability of a sporadic kill at or below the limit (0: no draw).
+    sporadic_oom_p: float
+    #: Availability-failure probability at concurrency >= 10 and at >= 50;
+    #: ``None``: the provider shows no burst failures.
+    burst_p: tuple[float, float] | None
+
+
 class ReliabilityModel:
     """Decides whether an invocation fails and why."""
 
@@ -49,6 +63,47 @@ class ReliabilityModel:
         self._rng = rng
         self._enabled = enabled
 
+    def compile(self, profile: WorkProfile, memory_mb: int) -> CompiledReliability:
+        """The failure gates every invocation of ``profile`` under ``memory_mb`` shares."""
+        if not self._enabled:
+            return CompiledReliability(math.inf, 0.0, None)
+        provider = self._provider
+        sporadic = 0.0
+        if memory_mb == DYNAMIC_MEMORY:
+            limit = math.inf
+        elif provider in self._STRICT_MEMORY_PROVIDERS:
+            # Strict accounting: exceeding the allocation kills the function,
+            # and allocations within ~10% of the typical peak fail
+            # sporadically because per-invocation peaks fluctuate (the 4-5%
+            # rates in the paper).
+            limit = float(memory_mb)
+            if memory_mb < profile.peak_memory_mb * 1.10:
+                sporadic = 0.05
+        else:
+            # AWS/Azure tolerate peaks around the declared allocation; only an
+            # egregious overshoot (>1.5x) kills the invocation.
+            limit = memory_mb * 1.5
+        burst = None
+        if provider in self._BURST_FAILURE_PROVIDERS:
+            gcp = provider is Provider.GCP
+            low = 0.01 if gcp else 0.02
+            # The extreme shortage of high-memory containers on GCP: up to 80%.
+            burst = (low, 0.6 if gcp and memory_mb >= 4096 else low)
+        return CompiledReliability(limit, sporadic, burst)
+
+    def failure(self, compiled: CompiledReliability, memory_used_mb: float, concurrency: int) -> str | None:
+        """Failure reason of one invocation of ``compiled``'s class, or ``None``."""
+        if memory_used_mb > compiled.oom_limit_mb:
+            return "out-of-memory"
+        sporadic = compiled.sporadic_oom_p
+        if sporadic and self._rng.random() < sporadic:
+            return "out-of-memory"
+        burst = compiled.burst_p
+        if burst is not None and concurrency >= 10:
+            if self._rng.random() < (burst[1] if concurrency >= 50 else burst[0]):
+                return "unavailable"
+        return None
+
     def check(
         self,
         profile: WorkProfile,
@@ -57,43 +112,14 @@ class ReliabilityModel:
         concurrency: int = 1,
     ) -> FailureDecision:
         """Evaluate failure conditions for one invocation."""
-        if not self._enabled:
+        compiled = self.compile(profile, memory_mb)
+        reason = self.failure(compiled, memory_used_mb, concurrency)
+        if reason is None:
             return FailureDecision(failed=False)
-        decision = self._check_memory(profile, memory_mb, memory_used_mb)
-        if decision.failed:
-            return decision
-        return self._check_availability(memory_mb, concurrency)
-
-    # ------------------------------------------------------------ components
-    def _check_memory(self, profile: WorkProfile, memory_mb: int, memory_used_mb: float) -> FailureDecision:
-        if memory_mb == DYNAMIC_MEMORY:
-            return FailureDecision(failed=False)
-        if self._provider not in self._STRICT_MEMORY_PROVIDERS:
-            # AWS/Azure tolerate peaks around the declared allocation; only an
-            # egregious overshoot (>1.5x) kills the invocation.
-            if memory_used_mb > memory_mb * 1.5:
-                return FailureDecision(True, "out-of-memory", f"used {memory_used_mb:.0f} MB of {memory_mb} MB")
-            return FailureDecision(failed=False)
-        # Strict accounting: exceeding the allocation kills the function, and
-        # allocations within ~10% of the typical peak fail sporadically
-        # because per-invocation peaks fluctuate (the 4-5% rates in the paper).
-        if memory_used_mb > memory_mb:
-            return FailureDecision(True, "out-of-memory", f"used {memory_used_mb:.0f} MB of {memory_mb} MB")
-        if memory_mb < profile.peak_memory_mb * 1.10 and self._rng.random() < 0.05:
-            return FailureDecision(True, "out-of-memory", "sporadic memory-limit violation")
-        return FailureDecision(failed=False)
-
-    def _check_availability(self, memory_mb: int, concurrency: int) -> FailureDecision:
-        if self._provider not in self._BURST_FAILURE_PROVIDERS or concurrency < 10:
-            return FailureDecision(failed=False)
-        probability = 0.0
-        if self._provider is Provider.GCP:
-            probability = 0.01
-            if memory_mb >= 4096 and concurrency >= 50:
-                # The extreme shortage of high-memory containers: up to 80%.
-                probability = 0.6
-        elif self._provider is Provider.AZURE:
-            probability = 0.02
-        if self._rng.random() < probability:
-            return FailureDecision(True, "unavailable", "service could not allocate resources for the burst")
-        return FailureDecision(failed=False)
+        if reason == "unavailable":
+            message = "service could not allocate resources for the burst"
+        elif memory_used_mb > compiled.oom_limit_mb:
+            message = f"used {memory_used_mb:.0f} MB of {memory_mb} MB"
+        else:
+            message = "sporadic memory-limit violation"
+        return FailureDecision(True, reason, message)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..utils.rng import lognormal_sigma
+from ..utils.rng import lognormal_jitter
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class StorageLatencyModel:
         share = max(share, 0.1)
         return self._profile.peak_bandwidth_mbps * share
 
+    def transfer_base(self, num_bytes: int, memory_mb: int) -> float:
+        """Duration of one transfer before jitter and contention."""
+        return self._profile.base_latency_s + num_bytes / (self.bandwidth_mbps(memory_mb) * 1024 * 1024)
+
     def transfer_time(self, num_bytes: int, memory_mb: int, contention: bool | None = None) -> float:
         """Simulated duration (seconds) of transferring ``num_bytes``.
 
@@ -94,18 +98,14 @@ class StorageLatencyModel:
         if num_bytes < 0:
             raise ConfigurationError("cannot transfer a negative number of bytes")
         profile = self._profile
-        bandwidth = self.bandwidth_mbps(memory_mb) * 1024 * 1024  # bytes/s
-        base = profile.base_latency_s + num_bytes / bandwidth
+        duration = self.transfer_base(num_bytes, memory_mb)
         # Log-normal multiplicative jitter keeps durations positive and
         # produces the right-skewed distributions observed in the paper.
-        if profile.jitter_cv > 0:
-            sigma = lognormal_sigma(profile.jitter_cv)
-            jitter = float(self._rng.lognormal(mean=-sigma**2 / 2.0, sigma=sigma))
-        else:
-            jitter = 1.0
-        duration = base * jitter
+        jitter = lognormal_jitter(profile.jitter_cv)
+        if jitter is not None:
+            duration *= float(self._rng.lognormal(mean=jitter[0], sigma=jitter[1]))
         if contention is None:
-            contention = self._rng.random() < profile.contention_tail_probability
+            contention = self.draw_contention()
         if contention:
             duration *= profile.contention_slowdown
         return float(duration)

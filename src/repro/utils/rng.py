@@ -111,11 +111,15 @@ class LazyStream:
 
 
 @functools.lru_cache(maxsize=256)
-def lognormal_sigma(cv: float) -> float:
-    """Shape ``sigma`` of the mean-one lognormal jitter with coefficient of variation ``cv``.
+def lognormal_jitter(cv: float) -> tuple[float, float] | None:
+    """``(mean, sigma)`` of the mean-one lognormal jitter with coefficient of variation ``cv``.
 
-    The one home of ``sqrt(log(1 + cv^2))``: the compute, storage and
-    columnar paths all read it here, so their jitter draws use the same
-    float; the matching location is ``-sigma**2 / 2.0``.
+    The one home of ``sigma = sqrt(log(1 + cv^2))`` and ``mean = -sigma^2 / 2``:
+    the compute and storage models compile their jitter parameters here, so
+    every path draws with the same floats.  ``None`` when ``cv <= 0``: the
+    jitter is exactly 1 and no value is drawn.
     """
-    return float(np.sqrt(np.log(1.0 + cv**2)))
+    if cv <= 0:
+        return None
+    sigma = float(np.sqrt(np.log(1.0 + cv**2)))
+    return (-(sigma**2) / 2.0, sigma)

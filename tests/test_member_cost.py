@@ -3,16 +3,18 @@
 A population replay pays for every member it touches; three internals cut
 that cost without moving an output bit:
 
-* **lane templates** — the columnar loop compiles a function's constants
-  once per *class* (benchmark, input size, language, memory, package size,
-  timeout, storage and network profiles) and copies them into each lane.
-  A lane built from a shared template must equal a freshly built one slot
-  by slot, and its constants must equal the per-function derivation the
-  templates replaced (``_reference_constants``);
+* **compiled classes** — the models compile a function's constants once
+  per *class* (benchmark, input size, language, memory, package size,
+  timeout, storage and network profiles); the platform caches the
+  :class:`~repro.simulator.platform_sim.FunctionClass` and the columnar
+  loop copies it into each lane.  A lane built from a shared class must
+  equal one built from a freshly compiled class slot by slot, and the
+  compiled constants must equal an independent per-function derivation
+  (``_reference_constants``);
 * **storage bursts** — one ``size=k`` lognormal draw serves all ``k``
-  transfers of an invocation; the sum must equal the scalar
-  :meth:`~repro.simulator.compute.ComputeModel.storage_time` in
-  ``float.hex``;
+  transfers of an invocation; the sum must equal ``k`` scalar
+  :meth:`~repro.storage.latency.StorageLatencyModel.transfer_time` calls
+  in ``float.hex``;
 * **row-form accumulators** — :class:`_ReplayAccumulator` keeps one row per
   function in columns; summaries and totals must equal the per-function
   object accumulator it replaced (``_FunctionAccumulator`` /
@@ -24,6 +26,7 @@ that cost without moving an output bit:
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -34,32 +37,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarks.base import InputSize
-from repro.columnar.engine import _TEMPLATE_SLOTS, _build_lane, _Lane, _storage_time
+from repro.columnar.engine import _CLASS_SLOTS, _build_lane, _Lane
 from repro.config import DYNAMIC_MEMORY, InvocationOutcome, Provider, SimulationConfig, StartType
 from repro.experiments.base import deploy_benchmark
-from repro.simulator.compute import ComputeModel
+from repro.simulator.compute import ComputeModel, storage_burst_time
+from repro.simulator.iaas import IaaSPlatform
 from repro.simulator.platform_sim import _EMPTY_PAYLOAD_BYTES, SimulatedPlatform
 from repro.simulator.providers import create_platform
-from repro.simulator.reliability import ReliabilityModel
 from repro.stats.streaming import DEFAULT_RESERVOIR_CAPACITY, StreamingSummary
-from repro.storage.latency import StorageProfile
-from repro.utils.rng import lognormal_sigma
+from repro.storage.latency import StorageLatencyModel, StorageProfile
+from repro.workload import PoissonArrivals, WorkloadTrace
 from repro.workload.engine import FunctionWorkloadSummary, _ReplayAccumulator
 
 CAPACITY = DEFAULT_RESERVOIR_CAPACITY
 
 
-# ------------------------------------------------------------ lane templates
+# ---------------------------------------------------------- compiled classes
 def _reference_constants(platform, fname: str) -> dict:
-    """A lane's class constants derived per function (the pre-template way)."""
+    """A lane's class constants derived per function, without ``compile()``."""
     function = platform.get_function(fname)
     state = platform._runtime_state(fname)
-    profile = platform._profile_for(function, state)
+    profile = platform.registry.get(function.benchmark).profile(
+        size=state.input_size, language=state.language
+    )
     memory_mb = function.config.memory_mb
     performance = platform.performance
     compute = state.compute
     c = {
-        "benchmark": function.benchmark,
         "memory_mb": memory_mb,
         "profile": profile,
         "package_mb": function.package.size_mb,
@@ -76,7 +80,7 @@ def _reference_constants(platform, fname: str) -> dict:
     def jitter(cv):
         if cv <= 0:
             return None
-        sigma = lognormal_sigma(cv)
+        sigma = float(np.sqrt(np.log(1.0 + cv**2)))
         return (-(sigma**2) / 2.0, sigma)
 
     c["jit_solo"] = jitter(performance.compute_jitter_cv)
@@ -95,25 +99,31 @@ def _reference_constants(platform, fname: str) -> dict:
         base = storage.base_latency_s + (profile.storage_write_bytes // requests) / bandwidth
         bases += (base,) * requests
     c["storage_bases"] = bases
-    c["s_jitter"] = storage.jitter_cv > 0
-    c["s_sigma"] = lognormal_sigma(storage.jitter_cv) if c["s_jitter"] else 0.0
-    c["s_mean"] = -(c["s_sigma"] ** 2) / 2.0 if c["s_jitter"] else 0.0
+    c["storage_jitter"] = jitter(storage.jitter_cv)
+    # Reliability (Section 6.2 Q3): GCP kills above the allocation and
+    # sporadically within 10% of the peak; AWS/Azure only above 1.5x; GCP and
+    # Azure fail bursts of >= 10 (GCP high-memory bursts of >= 50: 60%).
     provider = platform.provider
-    c["rel_dynamic"] = memory_mb == DYNAMIC_MEMORY
-    c["rel_strict"] = provider in ReliabilityModel._STRICT_MEMORY_PROVIDERS
-    c["rel_lenient_threshold"] = memory_mb * 1.5
-    c["rel_borderline"] = memory_mb < profile.peak_memory_mb * 1.10
-    c["rel_burst"] = provider in ReliabilityModel._BURST_FAILURE_PROVIDERS
-    c["rel_gcp"] = provider is Provider.GCP
-    c["rel_highmem"] = memory_mb >= 4096
-    invocation = platform._invocation_profile
+    c["oom_limit_mb"], c["sporadic_oom_p"], c["burst_p"] = math.inf, 0.0, None
+    if platform.simulation.enable_failures:
+        if memory_mb == DYNAMIC_MEMORY:
+            pass
+        elif provider is Provider.GCP:
+            c["oom_limit_mb"] = float(memory_mb)
+            c["sporadic_oom_p"] = 0.05 if memory_mb < profile.peak_memory_mb * 1.10 else 0.0
+        else:
+            c["oom_limit_mb"] = memory_mb * 1.5
+        if provider is Provider.GCP:
+            c["burst_p"] = (0.01, 0.6 if memory_mb >= 4096 else 0.01)
+        elif provider is Provider.AZURE:
+            c["burst_p"] = (0.02, 0.02)
+    invocation = platform.performance.invocation
     c["http_base"] = invocation.http_gateway_s
     c["sdk_base"] = invocation.sdk_overhead_s
     c["payload_denom"] = invocation.payload_bandwidth_mbps * 1024 * 1024
     c["empty_upload"] = _EMPTY_PAYLOAD_BYTES / c["payload_denom"]
-    c["response_download_s"] = profile.output_bytes / (
-        invocation.response_bandwidth_mbps * 1024 * 1024
-    )
+    c["response_denom"] = invocation.response_bandwidth_mbps * 1024 * 1024
+    c["response_download_s"] = profile.output_bytes / c["response_denom"]
     c["req_base"] = state.network._request_base
     c["resp_base"] = state.network._response_base
     c["sp_p"] = platform._spurious_probability
@@ -123,7 +133,7 @@ def _reference_constants(platform, fname: str) -> dict:
     c["min_billed"] = billing.minimum_billed_duration_s
     c["granularity"] = billing.duration_granularity_s
     c["gb_price"] = billing.gb_second_price
-    c["bills_avg"] = billing.bills_average_memory or c["rel_dynamic"]
+    c["bills_avg"] = billing.bills_average_memory or memory_mb == DYNAMIC_MEMORY
     c["mem_gb_const"] = float(memory_mb) / 1024.0
     c["mem_gran"] = float(billing.memory_granularity_mb)
     c["mem_overhead"] = billing.billed_memory_overhead_mb
@@ -152,12 +162,23 @@ _MEMBERS = (
     ("e", 512, InputSize.LARGE),
 )
 
+#: Lane slots the function's class fixes: the compiled parts, and the
+#: class fields and platform constants ``_build_lane`` sets besides.
+_CLASS_LANE_SLOTS = set(_CLASS_SLOTS) | {
+    "memory_mb", "profile", "package_mb", "timeout_s", "peak_memory_mb", "acquire", "sp_p",
+}
 
-def _members_platform(provider: Provider):
-    platform = create_platform(provider, SimulationConfig(seed=11))
+
+def _members_platform(provider: Provider, use_cloud_storage: bool = False):
+    if provider is Provider.IAAS:
+        platform = IaaSPlatform(SimulationConfig(seed=11), use_cloud_storage=use_cloud_storage)
+    else:
+        platform = create_platform(provider, SimulationConfig(seed=11))
     for name, memory, size in _MEMBERS:
         if provider is Provider.AZURE:
             memory = DYNAMIC_MEMORY  # Azure allocates memory dynamically
+        elif provider is Provider.IAAS:
+            memory = 1024  # the VM has exactly 1 GB
         deploy_benchmark(platform, "compression", memory, input_size=size, function_name=name)
     return platform
 
@@ -166,14 +187,28 @@ def _slot_values(lane: _Lane) -> dict:
     return {name: getattr(lane, name) for name in _Lane.__slots__}
 
 
+def _compiled_constants(klass) -> dict:
+    """The fields of a compiled class, flattened like a lane's slots."""
+    c = {
+        name: value
+        for part in (klass.compute, klass.reliability, klass.billing, klass.overhead)
+        for name, value in zip(part._fields, part)
+    }
+    c.update(memory_mb=klass.memory_mb, profile=klass.profile, package_mb=klass.package_mb)
+    c.update(timeout_s=klass.timeout_s, peak_memory_mb=klass.profile.peak_memory_mb)
+    return c
+
+
 class TestLaneTemplates:
     def test_one_class_shares_one_template(self):
         platform = _members_platform(Provider.AWS)
-        templates: dict = {}
-        lanes = {name: _build_lane(platform, name, templates) for name, _, _ in _MEMBERS}
-        # a/b/c share one template; d (memory) and e (input size) get their own.
-        assert len(templates) == 3
-        for slot in ("profile", "statics", "storage_bases", "jit_solo"):
+        lanes = {name: _build_lane(platform, name) for name, _, _ in _MEMBERS}
+        # a/b/c share one compiled class; d (memory) and e (input size) get their own.
+        assert len(platform._classes) == 3
+        klass = {name: platform._state[name].klass for name, _, _ in _MEMBERS}
+        assert klass["b"] is klass["a"] and klass["c"] is klass["a"]
+        assert klass["d"] is not klass["a"] and klass["e"] is not klass["a"]
+        for slot in ("profile", "statics", "storage_bases"):
             assert getattr(lanes["b"], slot) is getattr(lanes["a"], slot)
             assert getattr(lanes["c"], slot) is getattr(lanes["a"], slot)
             assert getattr(lanes["d"], slot) is not getattr(lanes["a"], slot)
@@ -184,20 +219,90 @@ class TestLaneTemplates:
         assert lanes["b"].gw_block is not lanes["a"].gw_block
 
     @pytest.mark.parametrize(
-        "provider", (Provider.AWS, Provider.GCP, Provider.AZURE), ids=lambda p: p.value
+        "provider, use_cloud_storage",
+        (
+            pytest.param(Provider.AWS, False, id="aws"),
+            pytest.param(Provider.GCP, False, id="gcp"),
+            pytest.param(Provider.AZURE, False, id="azure"),
+            pytest.param(Provider.IAAS, False, id="iaas-local"),
+            pytest.param(Provider.IAAS, True, id="iaas-s3"),
+        ),
     )
-    def test_template_lane_equals_fresh_lane_and_reference(self, provider):
-        platform = _members_platform(provider)
-        templates: dict = {}
+    def test_template_lane_equals_fresh_lane_and_reference(self, provider, use_cloud_storage):
+        platform = _members_platform(provider, use_cloud_storage)
+        shared = {name: _build_lane(platform, name) for name, _, _ in _MEMBERS}
         for name, _, _ in _MEMBERS:
-            _build_lane(platform, name, templates)
-        for name, _, _ in _MEMBERS:
-            shared = _build_lane(platform, name, templates)
-            fresh = _build_lane(platform, name, {})
-            assert _slot_values(shared) == _slot_values(fresh)
+            # Recompile the class from scratch: same constants, slot by slot.
+            platform._classes.clear()
+            platform._state[name].klass = None
+            fresh = _build_lane(platform, name)
+            assert _slot_values(shared[name]) == _slot_values(fresh)
             reference = _reference_constants(platform, name)
-            assert set(reference) == set(_TEMPLATE_SLOTS)
-            assert {slot: getattr(shared, slot) for slot in _TEMPLATE_SLOTS} == reference
+            assert set(reference) == _CLASS_LANE_SLOTS
+            assert {slot: getattr(fresh, slot) for slot in reference} == reference
+            compiled = _compiled_constants(platform._state[name].klass)
+            assert compiled == {k: v for k, v in reference.items() if k not in ("acquire", "sp_p")}
+        storage = platform._state["a"].compute.storage_model
+        assert (storage.profile is platform.performance.storage) is not use_cloud_storage
+
+
+_CLASS_CHANGES = (
+    pytest.param(Provider.AWS, 512, {"memory_mb": 1024}, id="aws"),
+    pytest.param(Provider.GCP, 512, {"memory_mb": 1024}, id="gcp"),
+    # Azure allocates memory dynamically and the VM has exactly 1 GB: their
+    # configuration change is a new timeout.
+    pytest.param(Provider.AZURE, DYNAMIC_MEMORY, {"timeout_s": 0.05}, id="azure"),
+    pytest.param(Provider.IAAS, 1024, {"timeout_s": 0.05}, id="iaas-s3"),
+)
+
+
+@pytest.mark.parametrize("provider, memory, change", _CLASS_CHANGES)
+def test_class_change_between_replays_is_never_stale(provider, memory, change):
+    """Replay, change f's configuration, replay, change its input size,
+    replay: the generator loop and the columnar loop agree bit for bit each
+    time, and each replay runs f's current class while g keeps its own."""
+    trace = WorkloadTrace.merge(
+        *(
+            WorkloadTrace.synthesize(name, PoissonArrivals(2.0), duration_s=30.0, rng=seed)
+            for seed, name in enumerate(("f", "g"))
+        )
+    )
+    replays = {}
+    for loop in ("generator", "columnar"):
+        if provider is Provider.IAAS:
+            platform = IaaSPlatform(SimulationConfig(seed=7), use_cloud_storage=True)
+        else:
+            platform = create_platform(provider, SimulationConfig(seed=7))
+        for name in ("f", "g"):
+            deploy_benchmark(platform, "thumbnailer", memory, function_name=name)
+
+        def replay():
+            if loop == "generator":
+                return sorted(platform.invoke_stream(trace), key=lambda r: r.request_index)
+            return platform.run_workload(trace).records
+
+        outputs = [replay()]
+        config = dataclasses.replace(platform.get_function("f").config, **change)
+        platform.update_function("f", config=config)
+        outputs.append(replay())
+        platform.set_input_size("f", InputSize.LARGE)
+        outputs.append(replay())
+        replays[loop] = (outputs, platform)
+
+    assert replays["generator"][0] == replays["columnar"][0]
+    for each in (replays["generator"][1], replays["columnar"][1]):
+        for name, size in (("f", InputSize.LARGE), ("g", InputSize.SMALL)):
+            state = each._state[name]
+            profile = each.registry.get("thumbnailer").profile(size=size, language=state.language)
+            assert state.klass == each._compile_class(profile, each.get_function(name), state)
+    original, updated, large = (
+        [r for r in records if r.function_name == "f"] for records in replays["columnar"][0]
+    )
+    for records in (updated, large):
+        assert {r.memory_declared_mb for r in records} == {config.memory_mb}
+        assert max(r.provider_time_s for r in records) <= config.timeout_s
+    mean = lambda records: sum(r.benchmark_time_s for r in records) / len(records)  # noqa: E731
+    assert mean(large) > mean(updated)
 
 
 # ------------------------------------------------------------ storage bursts
@@ -230,27 +335,36 @@ def test_storage_burst_matches_scalar_storage_time(
     function = platform.get_function("f")
     state = platform._runtime_state("f")
     profile = dataclasses.replace(
-        platform._profile_for(function, state),
+        platform._class_of(function, state).profile,
         storage_read_bytes=read_bytes,
         storage_read_requests=reads,
         storage_write_bytes=write_bytes,
         storage_write_requests=writes,
     )
-    state.profile = profile
-    lane = _build_lane(platform, "f", {})
+    state.klass = platform._compile_class(profile, function, state)
+    lane = _build_lane(platform, "f")
     assert len(lane.storage_bases) == transfers
 
     rng = np.random.default_rng(seed)
-    lane.sto_lognormal = rng.lognormal
     drawn = rng.random() < lane.contention_p
     assert drawn is contention
-    batched = _storage_time(lane, drawn)
+    batched = storage_burst_time(lane, rng.lognormal, drawn)
 
-    scalar_model = ComputeModel(platform.performance, platform.limits, np.random.default_rng(seed))
-    scalar = scalar_model.storage_time(profile, memory)
+    # The reference: one scalar transfer_time call per transfer.
+    scalar_model = StorageLatencyModel(platform.performance.storage, np.random.default_rng(seed))
+    assert scalar_model.draw_contention() is contention
+    scalar = 0.0
+    for size, requests in ((read_bytes, reads), (write_bytes, writes)):
+        if size > 0 or requests > 0:
+            requests = max(1, requests)
+            for _ in range(requests):
+                scalar += scalar_model.transfer_time(size // requests, memory, contention=contention)
     assert batched.hex() == scalar.hex()
     # Both consumed the same draws.
     assert rng.random() == scalar_model._rng.random()
+    # ComputeModel.storage_time reads the same compiled constants.
+    compute_model = ComputeModel(platform.performance, platform.limits, np.random.default_rng(seed))
+    assert compute_model.storage_time(profile, memory).hex() == scalar.hex()
 
 
 # ------------------------------------------------------- row-form accumulators

@@ -374,6 +374,44 @@ class TestTraceIngest:
         with pytest.raises(ConfigurationError, match="no data rows"):
             TraceIngest.load(no_rows)
 
+    @pytest.mark.parametrize(
+        "count, kind",
+        [("-2", "negative"), ("2.7", "non-integer"), ("inf", "non-finite"), ("nan", "non-finite")],
+    )
+    def test_bad_counts_rejected_at_load_with_row_number(self, tmp_path, count, kind):
+        trace = tmp_path / "counts.csv"
+        trace.write_text(
+            "HashOwner,HashApp,HashFunction,Trigger,1,2\n"
+            "o,a,f,http,1,2.0\n"
+            f"o,a,g,http,3,{count}\n"
+        )
+        with pytest.raises(ConfigurationError, match=f"row 3 has a {kind} invocation count"):
+            TraceIngest.load(trace)
+
+    def test_integral_float_counts_load(self, tmp_path):
+        trace = tmp_path / "floats.csv"
+        trace.write_text("HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,1.0,3e0\n")
+        assert TraceIngest.load(trace).counts.tolist() == [[1, 3]]
+
+    def test_duplicate_identity_rows_rejected_at_load(self, tmp_path):
+        trace = tmp_path / "dupes.csv"
+        trace.write_text(
+            "HashOwner,HashApp,HashFunction,Trigger,1\n"
+            "o,a,f,http,1\n"
+            "o,a,g,http,1\n"
+            "o,a,f,queue,4\n"
+        )
+        with pytest.raises(ConfigurationError, match=r"row 4 repeats .* of row 2"):
+            TraceIngest.load(trace)
+        # The same function hash under another owner or app is another function.
+        trace.write_text(
+            "HashOwner,HashApp,HashFunction,Trigger,1\n"
+            "o,a,f,http,1\n"
+            "p,a,f,http,1\n"
+            "o,b,f,http,1\n"
+        )
+        assert TraceIngest.load(trace).n_functions == 3
+
 
 # ----------------------------------------------------------------- profiles
 class TestProfiles:

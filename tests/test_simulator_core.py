@@ -211,13 +211,15 @@ class TestComputeModel:
         samples = [model.memory_used(PROFILE) for _ in range(200)]
         assert np.median(samples) == pytest.approx(100.0, rel=0.1)
 
-    def test_execute_combines_components(self):
-        model = self._model()
-        sample = model.execute(PROFILE, 1024, cold=True, code_package_mb=10.0)
-        assert sample.benchmark_time_s == pytest.approx(sample.compute_time_s + sample.storage_time_s)
-        assert sample.cold_init_s > 0
-        warm = model.execute(PROFILE, 1024, cold=False, code_package_mb=10.0)
-        assert warm.cold_init_s == 0.0
+    def test_benchmark_time_combines_compute_and_storage(self):
+        model, twin = self._model(seed=5), self._model(seed=5)
+        compiled = model.compile(PROFILE, 1024)
+        assert compiled == twin.compile(PROFILE, 1024)
+        for concurrent in (False, True):
+            total = model.benchmark_time(compiled, concurrent)
+            compute = twin.compute_time(PROFILE, 1024, concurrent)
+            assert total == compute + twin.storage_time(PROFILE, 1024)
+        assert model.cold_init_time(PROFILE, 1024, code_package_mb=10.0) > 0
 
 
 class TestReliabilityModel:

@@ -348,3 +348,33 @@ class TestIaaS:
         assert record.output and "result" in record.output
         assert record.output_bytes > 100
         assert record.output["num_vertices"] == 128
+
+    def test_kernel_mode_prices_and_downloads_the_actual_output(self, simulation):
+        """A kernel's real output replaces the profile's output size in the
+        response download time and in the static (egress) costs."""
+        from repro.benchmarks.base import BenchmarkContext, InputSize
+        from repro.benchmarks.registry import default_registry
+
+        records = []
+        for execute_kernels in (True, False):
+            platform = create_platform(Provider.GCP, simulation=simulation, execute_kernels=execute_kernels)
+            fname = deploy_benchmark(platform, "graph-bfs", memory_mb=1024)
+            context = BenchmarkContext(storage=platform.object_store, rng=np.random.default_rng(0))
+            event = default_registry().get("graph-bfs").generate_input(InputSize.TEST, context)
+            records.append(platform.invoke(fname, payload=event))
+        kernel, modelled = records
+        profile = platform._class_of(platform.get_function(fname), platform._state[fname]).profile
+        assert modelled.output_bytes == profile.output_bytes != kernel.output_bytes
+        assert kernel.provider_time_s == modelled.provider_time_s
+        expected = platform.billing.invocation_cost(
+            kernel.provider_time_s,
+            1024,
+            kernel.memory_used_mb,
+            output_bytes=kernel.output_bytes,
+            storage_requests=profile.storage_read_requests + profile.storage_write_requests,
+        )
+        assert kernel.cost == expected and kernel.cost.egress_cost > 0
+        bandwidth = platform.performance.invocation.response_bandwidth_mbps * 1024 * 1024
+        assert kernel.client_time_s - modelled.client_time_s == pytest.approx(
+            (kernel.output_bytes - modelled.output_bytes) / bandwidth, rel=1e-6
+        )

@@ -10,7 +10,9 @@ pinned here:
   had created.  Ids are now minted per pool.
 * **shared billing-model singletons** — ``billing_model_for`` used to hand
   out module-level instances whose mutable ``_static_costs`` memo was
-  shared by every platform in the process.
+  shared by every platform in the process.  The memo is gone (the compiled
+  function classes hold the static costs), so billing models hold no
+  mutable state and are safe to share.
 
 The remaining tests pin the isolation properties sharded replay depends
 on: identical replays on identical fresh instances are bit-identical, a
@@ -19,6 +21,8 @@ records do not change when other functions' traffic is added or removed.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -104,12 +108,20 @@ def test_container_ids_are_pool_scoped():
     assert pool_b.next_container_id() == "beta-c00000001"
 
 
-def test_billing_models_do_not_share_static_cost_caches():
-    first = billing_model_for(Provider.AWS)
-    second = billing_model_for(Provider.AWS)
-    assert first == second  # pricing fields identical
-    first.invocation_cost(0.2, 256, 100.0, output_bytes=1024)
-    assert first._static_costs and not second._static_costs
+def test_billing_models_hold_no_mutable_state():
+    """A billing model is shared by every platform of its provider, so it
+    must be frozen and hold only immutable scalars — no cache or memo that
+    pricing calls could fill."""
+    for provider in Provider:
+        billing = billing_model_for(provider)
+        names = {field.name for field in dataclasses.fields(billing)}
+        for name in names:
+            assert isinstance(getattr(billing, name), (bool, int, float, str, Provider)), name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            billing.gb_second_price = 1.0
+        billing.invocation_cost(0.2, 256, 100.0, output_bytes=1024)
+        billing.compile(256, output_bytes=1024, storage_requests=3)
+        assert set(vars(billing)) == names
 
 
 @pytest.mark.parametrize("provider", PROVIDERS, ids=lambda p: p.value)
