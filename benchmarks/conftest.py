@@ -80,8 +80,8 @@ def generator_loop(platform, trace, keep_records: bool = True):
 
     from repro.workload.engine import (
         WorkloadEngine,
-        WorkloadResult,
         _ReplayAccumulator,
+        record_result,
         streaming_result,
     )
 
@@ -98,10 +98,9 @@ def generator_loop(platform, trace, keep_records: bool = True):
             peak_in_flight=engine.last_peak_in_flight,
         )
     records = list(engine.stream(trace))
-    return WorkloadResult(
-        provider=platform.provider,
-        records=records,
-        simulated_span_s=max(r.finished_at for r in records) - records[0].submitted_at,
+    return record_result(
+        platform.provider,
+        records,
         wall_clock_s=time.perf_counter() - start,
         peak_in_flight=engine.last_peak_in_flight,
     )

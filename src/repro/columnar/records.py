@@ -185,6 +185,3 @@ class ColumnarRecordBlock:
             )
         return records
 
-    def indexed_records(self) -> list[tuple[int, InvocationRecord]]:
-        """(request_index, record) pairs — the sharded-merge exchange shape."""
-        return list(zip(self.request_index, self.materialize()))

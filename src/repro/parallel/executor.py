@@ -42,12 +42,12 @@ import functools
 import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..exceptions import CheckpointError, ConfigurationError
 from ..faas.invocation import InvocationRequest
+from ..observe.profile import ProfileBuilder
 from ..utils.rng import RandomStreams
 from ..workload.engine import WorkloadEngine, WorkloadResult
 from ..workload.scenario import Scenario
@@ -366,13 +366,8 @@ def run_workload_sharded(
         raise ConfigurationError("workers must be at least 1")
     wall_start = time.perf_counter()
     spec = _resolve_series_spec(timeseries)
-    profiler = None
-    if profile:
-        from ..observe.profile import ProfileBuilder
-
-        profiler = ProfileBuilder()
-    plan_phase = profiler.phase("plan") if profiler is not None else nullcontext()
-    with plan_phase:
+    profiler = ProfileBuilder()
+    with profiler.phase("plan"):
         backend = _resolve_backend(backend, workers)
         snapshot = PlatformSnapshot.capture(platform)
         planner = ShardPlanner()
@@ -404,8 +399,7 @@ def run_workload_sharded(
         if spec is None
         else functools.partial(_replay_trace_shard, timeseries=spec)
     )
-    shard_phase = profiler.phase("shards") if profiler is not None else nullcontext()
-    with shard_phase:
+    with profiler.phase("shards"):
         outcomes, report = _execute(
             worker,
             snapshot,
@@ -417,8 +411,7 @@ def run_workload_sharded(
             on_complete=store.store if store is not None else None,
         )
     outcomes = list(outcomes) + list(preloaded.values())
-    merge_phase = profiler.phase("merge") if profiler is not None else nullcontext()
-    with merge_phase:
+    with profiler.phase("merge"):
         wall_clock_s = time.perf_counter() - wall_start
         result = merge_trace_outcomes(
             platform.provider, outcomes, keep_records=keep_records, wall_clock_s=wall_clock_s
@@ -426,7 +419,7 @@ def run_workload_sharded(
         if spec is not None:
             result.timeseries = _merge_shard_series(spec, outcomes)
     result.supervision = report
-    if profiler is not None:
+    if profile:
         result.profile = profiler.build(supervision=report)
     return result
 
@@ -461,13 +454,8 @@ def run_workflows_sharded(
         raise ConfigurationError("workers must be at least 1")
     wall_start = time.perf_counter()
     spec = _resolve_series_spec(timeseries)
-    profiler = None
-    if profile:
-        from ..observe.profile import ProfileBuilder
-
-        profiler = ProfileBuilder()
-    plan_phase = profiler.phase("plan") if profiler is not None else nullcontext()
-    with plan_phase:
+    profiler = ProfileBuilder()
+    with profiler.phase("plan"):
         backend = _resolve_backend(backend, workers)
         snapshot = PlatformSnapshot.capture(platform)
         arrivals = list(arrivals)
@@ -486,8 +474,7 @@ def run_workflows_sharded(
         if spec is None
         else functools.partial(_replay_workflow_shard, timeseries=spec)
     )
-    shard_phase = profiler.phase("shards") if profiler is not None else nullcontext()
-    with shard_phase:
+    with profiler.phase("shards"):
         outcomes, report = _execute(
             worker,
             snapshot,
@@ -499,8 +486,7 @@ def run_workflows_sharded(
             on_complete=store.store if store is not None else None,
         )
     outcomes = list(outcomes) + list(preloaded.values())
-    merge_phase = profiler.phase("merge") if profiler is not None else nullcontext()
-    with merge_phase:
+    with profiler.phase("merge"):
         wall_clock_s = time.perf_counter() - wall_start
         result = merge_workflow_outcomes(
             platform.provider, outcomes, keep_records=keep_records, wall_clock_s=wall_clock_s
@@ -508,6 +494,6 @@ def run_workflows_sharded(
         if spec is not None:
             result.timeseries = _merge_shard_series(spec, outcomes)
     result.supervision = report
-    if profiler is not None:
+    if profile:
         result.profile = profiler.build(supervision=report)
     return result

@@ -1,13 +1,15 @@
 """Deterministic merging of shard outcomes into replay results.
 
-**Record mode** (``keep_records=True``): every shard returns its records
-paired with their global stream indices; the merge sorts by index, which
-restores the exact serial arrival order.  Because shards are
-function-disjoint and all simulator state is per-function, each record's
-*content* is bit-identical to its serial counterpart, so the merged record
-list — and every aggregate derived from it — equals a serial replay's
-byte for byte.  The global concurrency peak is recomputed exactly from the
-merged records' interval overlap.
+**Record mode** (``keep_records=True``): every record carries its global
+stream index as ``request_index``; the merge hands the shards' records to
+:func:`~repro.workload.engine.record_result`, which sorts by that index —
+restoring the exact serial arrival order — and folds them exactly as a
+serial replay does.  Because shards are function-disjoint and all
+simulator state is per-function, each record's *content* is bit-identical
+to its serial counterpart, so the merged record list — and every
+aggregate folded from it — equals a serial replay's byte for byte.  The
+global concurrency peak is recomputed exactly from the merged records'
+interval overlap.
 
 **Streaming mode** (``keep_records=False``): shards return their
 accumulators, which merge in shard-index order:
@@ -48,6 +50,7 @@ from ..workload.engine import (
     WorkloadEngine,
     WorkloadResult,
     _ReplayAccumulator,
+    record_result,
     streaming_result,
 )
 from ..workflows.engine import (
@@ -105,25 +108,15 @@ def merge_trace_outcomes(
     """Merge trace shard outcomes into one :class:`WorkloadResult`."""
     outcomes = sorted(outcomes, key=lambda outcome: outcome.shard_index)
     if keep_records:
-        indexed: list[tuple[int, InvocationRecord]] = []
+        records: list[InvocationRecord] = []
         for outcome in outcomes:
             block = getattr(outcome, "columnar", None)
             if block is not None:
-                indexed.extend(block.indexed_records())
+                records.extend(block.materialize())
             else:
-                indexed.extend(outcome.records or ())
-        indexed.sort(key=lambda pair: pair[0])
-        records = [record for _, record in indexed]
-        span = 0.0
-        if records:
-            span = max(r.finished_at for r in records) - min(r.submitted_at for r in records)
-        return WorkloadResult(
-            provider=provider,
-            records=records,
-            simulated_span_s=span,
-            wall_clock_s=wall_clock_s,
-            peak_in_flight=WorkloadEngine._peak_in_flight(records),
-        )
+                records.extend(record for _, record in outcome.records or ())
+        peak = WorkloadEngine._peak_in_flight(records)
+        return record_result(provider, records, wall_clock_s=wall_clock_s, peak_in_flight=peak)
     merged = _ReplayAccumulator()
     peak = 0
     for outcome in outcomes:

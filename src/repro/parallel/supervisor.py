@@ -302,27 +302,31 @@ class ShardSupervisor:
         shard,
         attempts: dict,
         results: dict,
-        pending: list,
         cause: BaseException | None,
-    ) -> None:
-        """Charge one attempt; requeue with backoff, quarantine, or fail."""
+    ) -> float | None:
+        """Charge one attempt; return its retry backoff, or quarantine or fail.
+
+        Returns the seconds to wait before the retry (the process backend
+        requeues the shard with it, the sequential backend sleeps it), or
+        ``None`` once the shard has been replayed in quarantine.
+        """
         attempts[shard.index] += 1
         self.report.attempts[shard.index] = attempts[shard.index]
         if attempts[shard.index] <= self._config.max_retries:
             self.report.retries += 1
+            backoff = self._config.backoff_s(attempts[shard.index])
             logger.warning(
                 "shard %d attempt %d failed (%s); retrying after %.2fs backoff",
                 shard.index,
                 attempts[shard.index],
                 cause if cause is not None else "worker died without a traceback",
-                self._config.backoff_s(attempts[shard.index]),
+                backoff,
             )
-            eligible_at = time.monotonic() + self._config.backoff_s(attempts[shard.index])
-            pending.append((shard, eligible_at))
-        elif self._config.quarantine:
-            self._quarantine(shard, attempts, results, cause)
-        else:
-            self._fail(shard, attempts[shard.index], cause, results)
+            return backoff
+        if not self._config.quarantine:
+            self._fail(shard, attempts[shard.index], cause, results)  # raises
+        self._quarantine(shard, attempts, results, cause)
+        return None
 
     # -- sequential backend -------------------------------------------------
 
@@ -351,22 +355,9 @@ class ShardSupervisor:
                         )
                     outcome = self._worker(self._snapshot, shard, self._keep_records)
                 except Exception as error:
-                    attempts[shard.index] += 1
-                    self.report.attempts[shard.index] = attempts[shard.index]
-                    if attempts[shard.index] <= self._config.max_retries:
-                        self.report.retries += 1
-                        logger.warning(
-                            "shard %d attempt %d failed (%s); retrying after %.2fs backoff",
-                            shard.index,
-                            attempts[shard.index],
-                            error,
-                            self._config.backoff_s(attempts[shard.index]),
-                        )
-                        time.sleep(self._config.backoff_s(attempts[shard.index]))
-                    elif self._config.quarantine:
-                        self._quarantine(shard, attempts, results, error)
-                    else:
-                        self._fail(shard, attempts[shard.index], error, results)
+                    backoff = self._on_attempt_failure(shard, attempts, results, error)
+                    if backoff is not None:
+                        time.sleep(backoff)
                 else:
                     self._complete(shard, outcome, results)
         return [results[shard.index] for shard in shards]
@@ -434,7 +425,9 @@ class ShardSupervisor:
                             broken = True
                             self._charge_break_casualty(shard, attempts, results, pending, beats)
                         except Exception as error:
-                            self._on_attempt_failure(shard, attempts, results, pending, error)
+                            backoff = self._on_attempt_failure(shard, attempts, results, error)
+                            if backoff is not None:
+                                pending.append((shard, time.monotonic() + backoff))
                         else:
                             self._complete(shard, outcome, results)
                     if not broken:
@@ -476,7 +469,9 @@ class ShardSupervisor:
         beat = beats.get(shard.index)
         started = beat is not None and beat[2] == attempts[shard.index]
         if started:
-            self._on_attempt_failure(shard, attempts, results, pending, None)
+            backoff = self._on_attempt_failure(shard, attempts, results, None)
+            if backoff is not None:
+                pending.append((shard, time.monotonic() + backoff))
         else:
             pending.append((shard, 0.0))
 

@@ -40,8 +40,9 @@ from ..workload.scenario import FunctionTraffic, Scenario
 from .profiles import SEBS_PROFILES, AppProfile
 from .spec import FunctionRecipe, PopulationArrivals
 
-#: Azure trace ``Trigger`` column values mapped onto simulator trigger types;
-#: unknown values fall back to HTTP.
+#: Azure trace ``Trigger`` column values mapped onto simulator trigger types.
+#: Any other value, an empty cell included, is rejected at load; a file
+#: without a ``Trigger`` column maps every function to HTTP.
 TRIGGER_MAP: Mapping[str, TriggerType] = {
     "http": TriggerType.HTTP,
     "queue": TriggerType.QUEUE,
@@ -264,8 +265,16 @@ class TraceIngest:
                     tenant_names.append(f"app-{app[:12]}")
                 tenant_index.append(tenant_of[app])
                 function_names.append(f"az-{len(rows):05d}-{fn[:8]}")
-                raw_trigger = row[trigger_col].strip().lower() if trigger_col is not None else ""
-                triggers.append(TRIGGER_MAP.get(raw_trigger, TriggerType.HTTP))
+                trigger = TriggerType.HTTP
+                if trigger_col is not None:
+                    trigger = TRIGGER_MAP.get(row[trigger_col].strip().lower())
+                    if trigger is None:
+                        raise ConfigurationError(
+                            f"trace file {path} row {row_number + 2} has an unmapped "
+                            f"Trigger label {row[trigger_col]!r}; expected one of "
+                            f"{', '.join(TRIGGER_MAP)}"
+                        )
+                triggers.append(trigger)
                 try:
                     rows.append([float(row[i]) for i in minute_cols])
                 except ValueError as error:

@@ -33,7 +33,6 @@ the flat per-function summaries cannot answer.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -42,6 +41,7 @@ import numpy as np
 from ..config import DYNAMIC_MEMORY, DEFAULT_REGIONS, FunctionConfig, SimulationConfig
 from ..exceptions import ConfigurationError
 from ..faas.invocation import InvocationRequest
+from ..observe.profile import ProfileBuilder
 from ..parallel.executor import _execute, _resolve_backend
 from ..parallel.merge import TraceShardOutcome, merge_trace_outcomes
 from ..parallel.plan import PopulationShard, ShardPlanner
@@ -367,19 +367,13 @@ def replay_population(
     if top_tenants < 0:
         raise ConfigurationError("top_tenants must be non-negative")
     wall_start = time.perf_counter()
-    profiler = None
-    if profile:
-        from ..observe.profile import ProfileBuilder
-
-        profiler = ProfileBuilder()
-    plan_phase = profiler.phase("plan") if profiler is not None else nullcontext()
-    with plan_phase:
+    profiler = ProfileBuilder()
+    with profiler.phase("plan"):
         backend = _resolve_backend(backend, workers)
         snapshot = PopulationSnapshot.capture(platform)
         seed = platform.simulation.seed if seed is None else int(seed)
         shards = ShardPlanner().plan_population(population, seed, workers)
-    shard_phase = profiler.phase("shards") if profiler is not None else nullcontext()
-    with shard_phase:
+    with profiler.phase("shards"):
         outcomes, report = _execute(
             _replay_population_shard,
             snapshot,
@@ -389,15 +383,14 @@ def replay_population(
             backend,
             supervision=supervision,
         )
-    merge_phase = profiler.phase("merge") if profiler is not None else nullcontext()
-    with merge_phase:
+    with profiler.phase("merge"):
         wall_clock_s = time.perf_counter() - wall_start
         result = merge_trace_outcomes(
             platform.provider, outcomes, keep_records=False, wall_clock_s=wall_clock_s
         )
         spends = tenant_attribution(result, population, seed)
     result.supervision = report
-    if profiler is not None:
+    if profile:
         result.profile = profiler.build(supervision=report)
     return PopulationReplayResult(
         result=result,

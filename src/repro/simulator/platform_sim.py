@@ -60,6 +60,7 @@ from ..faas.platform import FaaSPlatform, LogQueryType
 from ..workload.engine import WorkloadEngine, WorkloadResult
 from ..workload.trace import WorkloadTrace
 from ..network.latency import NetworkLink
+from ..observe.profile import ProfileBuilder
 from ..utils.clock import VirtualClock
 from ..utils.rng import RandomStreams
 from .compute import CompiledCompute, ComputeModel
@@ -727,31 +728,29 @@ class SimulatedPlatform(FaaSPlatform):
                 "supervision/checkpoint_dir/resume apply to sharded replay only: "
                 "pass workers= as well"
             )
-        attach, builder, profiler = self._observation(observer, timeseries, profile)
+        attach, builder = self._observation(observer, timeseries)
+        profiler = ProfileBuilder()
         engine = WorkloadEngine(self)
         if attach is not None:
             engine.observer = attach
             self._observer = attach
             self._announce_fault_windows(attach, trace)
         try:
-            if profiler is not None:
-                with profiler.phase("replay"):
-                    result = engine.run(trace, keep_records=keep_records)
-            else:
+            with profiler.phase("replay"):
                 result = engine.run(trace, keep_records=keep_records)
         finally:
             self._observer = None
         result.timeseries = builder
-        if profiler is not None:
+        if profile:
             result.profile = profiler.build()
         return result
 
-    def _observation(self, observer, timeseries, profile: bool):
+    def _observation(self, observer, timeseries):
         """Resolve the observability kwargs shared by the replay entry points.
 
-        Returns ``(attached observer or None, time-series builder or None,
-        profile builder or None)``; the attached observer is the composite
-        of the caller's observer and the time-series builder.
+        Returns ``(attached observer or None, time-series builder or
+        None)``; the attached observer is the composite of the caller's
+        observer and the time-series builder.
         """
         builder = None
         attach = observer
@@ -770,12 +769,7 @@ class SimulatedPlatform(FaaSPlatform):
                 from ..observe.events import CompositeObserver
 
                 attach = CompositeObserver([attach, builder])
-        profiler = None
-        if profile:
-            from ..observe.profile import ProfileBuilder
-
-            profiler = ProfileBuilder()
-        return attach, builder, profiler
+        return attach, builder
 
     def _announce_fault_windows(self, observer, trace) -> None:
         """Emit every scheduled fault window once, at replay start.
@@ -887,21 +881,14 @@ class SimulatedPlatform(FaaSPlatform):
                 "supervision/checkpoint_dir/resume apply to sharded replay only: "
                 "pass workers= as well"
             )
-        attach, builder, profiler = self._observation(observer, timeseries, profile)
+        attach, builder = self._observation(observer, timeseries)
+        profiler = ProfileBuilder()
         engine = WorkflowEngine(self)
         if attach is not None:
             self._observer = attach
             self._announce_fault_windows(attach, trace=None)
         try:
-            if profiler is not None:
-                with profiler.phase("replay"):
-                    result = engine.run(
-                        arrivals,
-                        keep_records=keep_records,
-                        record_sink=record_sink,
-                        observer=attach,
-                    )
-            else:
+            with profiler.phase("replay"):
                 result = engine.run(
                     arrivals,
                     keep_records=keep_records,
@@ -911,7 +898,7 @@ class SimulatedPlatform(FaaSPlatform):
         finally:
             self._observer = None
         result.timeseries = builder
-        if profiler is not None:
+        if profile:
             result.profile = profiler.build()
         return result
 

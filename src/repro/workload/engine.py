@@ -23,20 +23,26 @@ invocation takes a slot, popping its completion returns it, which carries
 exactly the per-execution multiplicity Azure's shared function-app
 instances need.
 
-Two aggregation modes:
+Two aggregation modes, one aggregation path:
 
-* ``run(trace)`` (default) materialises every
-  :class:`~repro.faas.invocation.InvocationRecord` — exact percentiles,
+* ``run(trace)`` (default) also keeps every
+  :class:`~repro.faas.invocation.InvocationRecord` in arrival order —
+  exact per-function client-time percentiles with confidence intervals,
   full drill-down, O(invocations) memory;
-* ``run(trace, keep_records=False)`` streams records into per-function
-  accumulators (counts, costs, Welford moments and mergeable reservoir percentile
-  sketches from :mod:`repro.stats.streaming`) as they are produced — O(functions)
-  memory, the mode for million-invocation traces.  ``trace`` may then be a
-  lazy iterable of requests.
+* ``run(trace, keep_records=False)`` keeps no records — O(functions)
+  memory, the mode for million-invocation traces, with per-function
+  client-time percentiles estimated by mergeable reservoir sketches
+  (:mod:`repro.stats.streaming`).  ``trace`` may then be a lazy iterable
+  of requests.
 
-The engine is deterministic: the same platform seed and the same trace
-produce identical schedules, cold-start counts and cost totals, in either
-aggregation mode.
+Either way every count, cost and queue-delay total is folded by one
+:class:`_ReplayAccumulator` (:func:`record_result` folds the kept records
+in arrival order).  The engine is deterministic: the same platform seed and
+the same trace produce identical schedules, counters and simulated spans in
+either mode.  Cost and queue-delay totals are identical too, except in
+controlled replays: there streaming mode folds each function's sums in
+resolution order rather than arrival order, so they agree to float
+associativity.
 
 **Overload mode** (:mod:`repro.concurrency`, enabled through
 :attr:`repro.config.SimulationConfig.overload`): before dispatching, the
@@ -519,15 +525,22 @@ class _ReplayAccumulator:
         return summaries
 
 
+def _total(name: str, doc: str) -> property:
+    """A :class:`WorkloadResult` aggregate: a read of its accumulated ``name`` field."""
+    return property(attrgetter(name), doc=doc)
+
+
 @dataclass
 class WorkloadResult:
     """Everything a workload replay produced.
 
-    In record-keeping mode the aggregate properties are derived exactly from
-    ``records``; in streaming-aggregation mode ``records`` is empty and the
-    same properties read the pre-aggregated counters instead (with
-    per-function latency distributions carried by reservoir estimates in
-    ``streaming_summaries``).
+    Every aggregate is read from the ``*_total`` fields and
+    ``streaming_summaries``, which one :class:`_ReplayAccumulator` fills in
+    either aggregation mode (:func:`streaming_result`,
+    :func:`record_result`).  In record-keeping mode ``records`` also holds
+    every record in arrival order, and :meth:`per_function` reports each
+    function's exact client-time distribution instead of its reservoir
+    estimate.
     """
 
     provider: Provider
@@ -538,7 +551,7 @@ class WorkloadResult:
     wall_clock_s: float = 0.0
     #: Largest number of invocations in flight at any instant.
     peak_in_flight: int = 0
-    #: Aggregate counters (authoritative when ``records`` is empty).
+    #: Aggregate counters, reduced from the replay accumulator.
     invocation_count: int = 0
     cold_start_total: int = 0
     failure_total: int = 0
@@ -558,8 +571,8 @@ class WorkloadResult:
     faulted_total: int = 0
     short_circuited_total: int = 0
     hedge_total: int = 0
-    #: Per-function summaries from the streaming accumulators (streaming
-    #: mode only; ``None`` when full records are available).
+    #: Per-function summaries from the replay accumulator, in function-name
+    #: order, with reservoir client-time estimates.
     streaming_summaries: dict[str, FunctionWorkloadSummary] | None = None
     #: Supervision diagnostics from a supervised sharded replay
     #: (:class:`repro.parallel.supervisor.SupervisionReport` as a dict):
@@ -575,116 +588,38 @@ class WorkloadResult:
     #: .ReplayProfile`) when requested; excluded from ``to_dict()``.
     profile: object | None = None
 
-    @property
-    def invocations(self) -> int:
-        return len(self.records) if self.records else self.invocation_count
-
-    @property
-    def cold_start_count(self) -> int:
-        if self.records:
-            return sum(1 for record in self.records if record.start_type is StartType.COLD)
-        return self.cold_start_total
+    invocations = _total("invocation_count", "Terminal records: one per request.")
+    cold_start_count = _total("cold_start_total", "Executed requests that cold-started.")
+    failure_count = _total(
+        "failure_total", "Executed requests that failed (throttles/drops counted separately)."
+    )
+    executed_count = _total(
+        "executed_total", "Requests that actually ran (admitted first try, retried or queued)."
+    )
+    throttled_count = _total(
+        "throttled_total", "Requests that resolved as THROTTLED (retry budget exhausted)."
+    )
+    dropped_count = _total("dropped_total", "Asynchronous requests dropped from the admission queue.")
+    faulted_count = _total(
+        "faulted_total", "Requests whose every attempt fell in a fault-plane outage window."
+    )
+    short_circuited_count = _total(
+        "short_circuited_total", "Requests rejected client-side by an open circuit breaker."
+    )
+    hedge_count = _total("hedge_total", "Hedge duplicates sent (each billed alongside its primary).")
+    retry_count = _total("retry_total", "Client retry attempts across all requests.")
+    queued_count = _total(
+        "queued_total", "Admitted requests that waited in the admission queue first."
+    )
+    queue_delay_s = _total(
+        "queue_delay_s_total", "Total admission-queue wait of queued-then-admitted requests."
+    )
+    total_cost_usd = _total("cost_usd_total", "Total billed cost, USD.")
 
     @property
     def cold_start_rate(self) -> float:
         invocations = self.invocations
         return self.cold_start_count / invocations if invocations else 0.0
-
-    @property
-    def failure_count(self) -> int:
-        """Executed requests that failed (throttles/drops counted separately)."""
-        if self.records:
-            return sum(
-                1 for record in self.records if record.outcome is InvocationOutcome.FAILED
-            )
-        return self.failure_total
-
-    @property
-    def executed_count(self) -> int:
-        """Requests that actually ran (admitted first try, retried or queued)."""
-        if self.records:
-            return sum(1 for record in self.records if record.executed)
-        return self.executed_total
-
-    @property
-    def throttled_count(self) -> int:
-        """Requests that resolved as THROTTLED (retry budget exhausted)."""
-        if self.records:
-            return sum(
-                1 for record in self.records if record.outcome is InvocationOutcome.THROTTLED
-            )
-        return self.throttled_total
-
-    @property
-    def dropped_count(self) -> int:
-        """Asynchronous requests dropped from the admission queue."""
-        if self.records:
-            return sum(
-                1 for record in self.records if record.outcome is InvocationOutcome.DROPPED
-            )
-        return self.dropped_total
-
-    @property
-    def faulted_count(self) -> int:
-        """Requests whose every attempt fell in a fault-plane outage window."""
-        if self.records:
-            return sum(
-                1 for record in self.records if record.outcome is InvocationOutcome.FAULTED
-            )
-        return self.faulted_total
-
-    @property
-    def short_circuited_count(self) -> int:
-        """Requests rejected client-side by an open circuit breaker."""
-        if self.records:
-            return sum(
-                1
-                for record in self.records
-                if record.outcome is InvocationOutcome.SHORT_CIRCUITED
-            )
-        return self.short_circuited_total
-
-    @property
-    def hedge_count(self) -> int:
-        """Hedge duplicates sent (each billed alongside its primary)."""
-        if self.records:
-            return sum(record.hedges for record in self.records)
-        return self.hedge_total
-
-    @property
-    def retry_count(self) -> int:
-        """Client retry attempts across all requests."""
-        if self.records:
-            return sum(record.attempts - 1 for record in self.records)
-        return self.retry_total
-
-    @property
-    def queued_count(self) -> int:
-        """Admitted requests that waited in the admission queue first."""
-        if self.records:
-            return sum(
-                1
-                for record in self.records
-                if record.executed and record.attempts == 1 and record.admission_delay_s > 0.0
-            )
-        return self.queued_total
-
-    @property
-    def queue_delay_s(self) -> float:
-        """Total admission-queue wait of queued-then-admitted requests."""
-        if self.records:
-            return sum(
-                record.admission_delay_s
-                for record in self.records
-                if record.executed and record.attempts == 1
-            )
-        return self.queue_delay_s_total
-
-    @property
-    def total_cost_usd(self) -> float:
-        if self.records:
-            return sum(record.cost.total for record in self.records)
-        return self.cost_usd_total
 
     @property
     def throughput_per_s(self) -> float:
@@ -694,59 +629,21 @@ class WorkloadResult:
         return self.invocations / self.wall_clock_s
 
     def per_function(self) -> dict[str, FunctionWorkloadSummary]:
-        """Aggregate the records into per-function summaries.
+        """Per-function summaries, in function-name order.
 
-        Exact (with confidence intervals) when records were kept; streaming
-        reservoir estimates otherwise.
+        Counters and costs come from the replay accumulator.  With records
+        kept, each client-time distribution is the exact
+        :func:`~repro.stats.summary.summarize` of the function's executed
+        records (with confidence intervals); otherwise it is the streaming
+        reservoir estimate.
         """
-        if not self.records:
-            return dict(self.streaming_summaries or {})
-        grouped: dict[str, list[InvocationRecord]] = {}
+        summaries = dict(self.streaming_summaries or {})
+        client_times: dict[str, list[float]] = {}
         for record in self.records:
-            grouped.setdefault(record.function_name, []).append(record)
-        summaries = {}
-        for fname in sorted(grouped):
-            records = grouped[fname]
-            executed = [r for r in records if r.executed]
-            summaries[fname] = FunctionWorkloadSummary(
-                function_name=fname,
-                invocations=len(records),
-                cold_starts=sum(1 for r in executed if r.start_type is StartType.COLD),
-                failures=sum(1 for r in executed if not r.success),
-                # All records, not just executed ones: an exhausted
-                # stale-resubmission saga's terminal record can be
-                # non-executed yet carry the cost of the executions the
-                # client timed out on.
-                total_cost_usd=sum(r.cost.total for r in records),
-                client_time=summarize([r.client_time_s for r in executed]) if executed else None,
-                throttled=sum(
-                    1 for r in records if r.outcome is InvocationOutcome.THROTTLED
-                ),
-                dropped=sum(1 for r in records if r.outcome is InvocationOutcome.DROPPED),
-                throttle_events=sum(
-                    (r.attempts - 1) if r.executed else r.attempts
-                    for r in records
-                    if r.executed or r.outcome is InvocationOutcome.THROTTLED
-                ),
-                retries=sum(r.attempts - 1 for r in records),
-                faulted=sum(
-                    1 for r in records if r.outcome is InvocationOutcome.FAULTED
-                ),
-                short_circuited=sum(
-                    1
-                    for r in records
-                    if r.outcome is InvocationOutcome.SHORT_CIRCUITED
-                ),
-                hedges=sum(r.hedges for r in records),
-                queued=sum(
-                    1 for r in executed if r.attempts == 1 and r.admission_delay_s > 0.0
-                ),
-                queue_delay_s=sum(
-                    r.admission_delay_s
-                    for r in executed
-                    if r.attempts == 1 and r.admission_delay_s > 0.0
-                ),
-            )
+            if record.executed:
+                client_times.setdefault(record.function_name, []).append(record.client_time_s)
+        for fname, values in client_times.items():
+            summaries[fname] = replace(summaries[fname], client_time=summarize(values))
         return summaries
 
     def to_rows(self) -> list[dict]:
@@ -787,11 +684,12 @@ def streaming_result(
     wall_clock_s: float,
     peak_in_flight: int,
 ) -> WorkloadResult:
-    """Build the streaming-mode :class:`WorkloadResult` from an accumulator.
+    """Build a :class:`WorkloadResult` from an accumulator, without records.
 
-    Shared by the serial engine and the sharded-replay merge
-    (:mod:`repro.parallel`), so both paths reduce the accumulator with the
-    same code — and therefore the same float-summation order.
+    Shared by the serial engine, the sharded-replay merge
+    (:mod:`repro.parallel`) and :func:`record_result`, so every path
+    reduces the accumulator with the same code — and therefore the same
+    float-summation order.
     """
     return WorkloadResult(
         provider=provider,
@@ -815,6 +713,28 @@ def streaming_result(
         hedge_total=accumulator.hedges,
         streaming_summaries=accumulator.summaries(),
     )
+
+
+def record_result(
+    provider: Provider,
+    records: list[InvocationRecord],
+    wall_clock_s: float,
+    peak_in_flight: int,
+) -> WorkloadResult:
+    """Build the record-keeping :class:`WorkloadResult` of ``records``.
+
+    Sorts ``records`` in place by ``request_index`` — throttled and queued
+    requests resolve out of arrival order, and serial and sharded record
+    lists must agree — then folds them with :meth:`_ReplayAccumulator.add`
+    in that order and attaches them to the :func:`streaming_result`.
+    """
+    records.sort(key=attrgetter("request_index"))
+    accumulator = _ReplayAccumulator()
+    for record in records:
+        accumulator.add(record)
+    result = streaming_result(provider, accumulator, wall_clock_s, peak_in_flight)
+    result.records = records
+    return result
 
 
 def _fold_carried(
@@ -1645,32 +1565,11 @@ class WorkloadEngine:
         wall_start = time.perf_counter()
         emit = observer.on_invocation if observer is not None else None
         sink = self.replay(trace, keep_records, emit=emit)
+        provider, peak = self.platform.provider, self.last_peak_in_flight
         if not keep_records:
-            return streaming_result(
-                self.platform.provider,
-                sink,
-                wall_clock_s=time.perf_counter() - wall_start,
-                peak_in_flight=self.last_peak_in_flight,
-            )
-        if isinstance(sink, list):
-            # Throttled/queued requests resolve out of arrival order;
-            # restore it so serial and sharded record lists agree (the
-            # sharded merge sorts by the same index).
-            records = sink
-            records.sort(key=attrgetter("request_index"))
-        else:
-            records = sink.materialize()
-        wall_clock_s = time.perf_counter() - wall_start
-        span = 0.0
-        if records:
-            span = max(r.finished_at for r in records) - min(r.submitted_at for r in records)
-        return WorkloadResult(
-            provider=self.platform.provider,
-            records=records,
-            simulated_span_s=span,
-            wall_clock_s=wall_clock_s,
-            peak_in_flight=self.last_peak_in_flight,
-        )
+            return streaming_result(provider, sink, time.perf_counter() - wall_start, peak)
+        records = sink if isinstance(sink, list) else sink.materialize()
+        return record_result(provider, records, time.perf_counter() - wall_start, peak)
 
     def _prune_pools(self) -> None:
         for state in self.platform._state.values():

@@ -4,20 +4,19 @@ Batch replays (``WorkloadEngine.run``, sharded shards, population shards)
 run the columnar engine whenever :meth:`WorkloadEngine.replay` allows it.
 The reference they are pinned against is the generator loop,
 :meth:`WorkloadEngine.stream`, folded here into the same
-:class:`~repro.workload.engine.WorkloadResult` shape: records sorted back
-into arrival order (record mode) or a streaming accumulator (streaming
-mode), with the loop's own peak in flight.
+:class:`~repro.workload.engine.WorkloadResult` shape by the engine's own
+result builders: ``record_result`` (records sorted back into arrival order
+and folded) or ``streaming_result`` (the accumulator the loop fed), with the
+loop's own peak in flight.
 """
 
 from __future__ import annotations
 
 import time
-from operator import attrgetter
-
 from repro.workload.engine import (
     WorkloadEngine,
-    WorkloadResult,
     _ReplayAccumulator,
+    record_result,
     streaming_result,
 )
 
@@ -41,21 +40,7 @@ def generator_run(platform, requests, keep_records=True, observer=None, position
             observer.on_invocation(record)
         add(record)
     wall_clock_s = time.perf_counter() - wall_start
+    peak = engine.last_peak_in_flight
     if not keep_records:
-        return streaming_result(
-            platform.provider,
-            accumulator,
-            wall_clock_s=wall_clock_s,
-            peak_in_flight=engine.last_peak_in_flight,
-        )
-    records.sort(key=attrgetter("request_index"))
-    span = 0.0
-    if records:
-        span = max(r.finished_at for r in records) - min(r.submitted_at for r in records)
-    return WorkloadResult(
-        provider=platform.provider,
-        records=records,
-        simulated_span_s=span,
-        wall_clock_s=wall_clock_s,
-        peak_in_flight=engine.last_peak_in_flight,
-    )
+        return streaming_result(platform.provider, accumulator, wall_clock_s, peak)
+    return record_result(platform.provider, records, wall_clock_s, peak)

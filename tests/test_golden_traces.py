@@ -150,3 +150,45 @@ def test_golden_workflow_summary_has_not_drifted():
     )
     for summary in actual["providers"].values():
         assert summary["summaries"]["fanout"]["executions"] == actual["executions"]
+
+
+#: Every counter a replay reports, plus the float totals and the span.
+_RESULT_AGGREGATES = (
+    "invocations",
+    "cold_start_count",
+    "failure_count",
+    "executed_count",
+    "throttled_count",
+    "dropped_count",
+    "faulted_count",
+    "short_circuited_count",
+    "hedge_count",
+    "retry_count",
+    "queued_count",
+    "queue_delay_s",
+    "total_cost_usd",
+    "simulated_span_s",
+)
+
+
+@pytest.mark.parametrize("provider", builder.PROVIDERS, ids=lambda provider: provider.value)
+@pytest.mark.parametrize("name", sorted(builder.TRACES))
+def test_record_and_streaming_modes_agree_exactly(name, provider):
+    """Both aggregation modes fold one accumulator in arrival order, so an
+    uncontrolled replay reports bit-identical totals whether or not its
+    records are kept."""
+    trace = WorkloadTrace.from_json(builder.trace_path(name))
+    functions = trace.functions()
+    kept = builder._deployed_platform(provider, functions).run_workload(trace, keep_records=True)
+    streamed = builder._deployed_platform(provider, functions).run_workload(
+        trace, keep_records=False
+    )
+    assert kept.records and not streamed.records
+    for attribute in _RESULT_AGGREGATES:
+        assert getattr(kept, attribute) == getattr(streamed, attribute), attribute
+    kept_fns, streamed_fns = kept.per_function(), streamed.per_function()
+    assert list(kept_fns) == list(streamed_fns)
+    for fname, summary in kept_fns.items():
+        assert summary.total_cost_usd == streamed_fns[fname].total_cost_usd, fname
+        assert summary.invocations == streamed_fns[fname].invocations, fname
+        assert summary.cold_starts == streamed_fns[fname].cold_starts, fname

@@ -424,11 +424,13 @@ class TestCounterConsistency:
             "simulated_span_s",
         ):
             assert getattr(streaming, attribute) == getattr(records, attribute), attribute
-        # Float totals are summed in a different order by the two modes
-        # (record mode: arrival order; streaming: per-function then sorted
-        # names), so cross-MODE they agree to float associativity.  The
-        # exactness guarantee is within a mode: serial vs sharded replays
-        # of the same mode match bit-for-bit (test_parallel_equivalence).
+        # Both modes fold one accumulator and reduce it in sorted function
+        # order, but in a controlled replay they feed each function's float
+        # sums in a different order (record mode: arrival order; streaming:
+        # resolution order), so cross-MODE they agree to float
+        # associativity.  Uncontrolled replays agree exactly
+        # (test_golden_traces); within a mode, serial and sharded replays
+        # match bit-for-bit (test_parallel_equivalence).
         assert streaming.total_cost_usd == pytest.approx(records.total_cost_usd, rel=1e-12)
         assert streaming.queue_delay_s == pytest.approx(records.queue_delay_s, rel=1e-12)
         record_fns = records.per_function()

@@ -393,6 +393,24 @@ class TestTraceIngest:
         trace.write_text("HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,1.0,3e0\n")
         assert TraceIngest.load(trace).counts.tolist() == [[1, 3]]
 
+    @pytest.mark.parametrize("label", ["webhook", ""])
+    def test_unmapped_trigger_rejected_at_load_with_row_number(self, tmp_path, label):
+        trace = tmp_path / "triggers.csv"
+        trace.write_text(
+            "HashOwner,HashApp,HashFunction,Trigger,1\n"
+            "o,a,f,HTTP,1\n"
+            f"o,a,g,{label},1\n"
+        )
+        with pytest.raises(
+            ConfigurationError, match=f"row 3 has an unmapped Trigger label '{label}'"
+        ):
+            TraceIngest.load(trace)
+
+    def test_trace_without_trigger_column_maps_to_http(self, tmp_path):
+        trace = tmp_path / "notrigger.csv"
+        trace.write_text("HashOwner,HashApp,HashFunction,1\no,a,f,1\no,a,g,2\n")
+        assert TraceIngest.load(trace).triggers == (TriggerType.HTTP, TriggerType.HTTP)
+
     def test_duplicate_identity_rows_rejected_at_load(self, tmp_path):
         trace = tmp_path / "dupes.csv"
         trace.write_text(
