@@ -21,7 +21,7 @@ Each block object *wraps* the live generator of a function's runtime state
 and replaces it in place (``state.gateway_stream``, ``state.network._rng``,
 …).  Scalar code paths that still draw from the stream (the controlled
 overload/fault replay loop, direct ``platform.invoke`` calls) hit the
-parameter-checked shim methods (`random`/`lognormal`/`exponential`) and
+shim methods (`random`, and the parameter-checked `exponential`) and
 receive exactly the values the raw generator would have produced — which is
 how the blocks compose with the overload/fault/resilience stack without a
 second code path.
@@ -115,9 +115,8 @@ class LognormalBlock(_Block):
     """Pre-drawn ``Generator.lognormal(mean, sigma)`` stream (gateway).
 
     The gateway stream only ever draws with the platform's warm-jitter
-    parameters, so they are fixed at construction; the shim rejects any
-    other parameters loudly rather than silently desynchronizing the
-    scalar and columnar paths.
+    parameters, so they are fixed at construction; every reader consumes
+    it through :meth:`take`.
     """
 
     __slots__ = ("_mean", "_sigma")
@@ -129,15 +128,6 @@ class LognormalBlock(_Block):
 
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.lognormal(self._mean, self._sigma, size)
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        """Scalar-compatible shim; parameters must match the block's."""
-        if mean != self._mean or sigma != self._sigma:
-            raise ConfigurationError(
-                "columnar lognormal block drawn with parameters "
-                f"({mean}, {sigma}) != pinned ({self._mean}, {self._sigma})"
-            )
-        return self.take()
 
 
 class ExponentialBlock(_Block):

@@ -13,10 +13,12 @@ Layout:
 * :mod:`~repro.parallel.plan` — :class:`ShardPlanner`: per-function /
   per-component partitioning with LPT load balancing over invocation counts;
 * :mod:`~repro.parallel.snapshot` — :class:`PlatformSnapshot`: the
-  picklable recipe workers rebuild fresh platforms from;
+  picklable recipe workers rebuild fresh platforms from (population replay
+  snapshots an empty platform);
 * :mod:`~repro.parallel.executor` — the sequential reference backend, the
-  process backend, and the :func:`run_workload_sharded` /
-  :func:`run_workflows_sharded` entry points
+  process backend, and the one sharded-replay driver behind the
+  :func:`run_workload_sharded` / :func:`run_workflows_sharded` entry points
+  and :func:`repro.population.replay_population`
   (``SimulatedPlatform.run_workload(..., workers=N)`` delegates here);
 * :mod:`~repro.parallel.merge` — deterministic shard-outcome merging, with
   the exact-vs-approximate contract documented per statistic;

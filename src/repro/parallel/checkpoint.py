@@ -42,8 +42,9 @@ from .snapshot import PlatformSnapshot
 
 #: Bumped whenever the checkpoint file or fingerprint layout changes, or
 #: the pickled layout of an outcome does (2: reservoirs defer their tags;
-#: 3: streaming accumulators pickle as row-form flat arrays).
-_FORMAT_VERSION = 3
+#: 3: streaming accumulators pickle as row-form flat arrays; 4: trace
+#: outcomes carry one ``sink`` field).
+_FORMAT_VERSION = 4
 
 _CHECKPOINT_NAME = re.compile(r"^shard_(\d{5})\.ckpt$")
 

@@ -1,6 +1,11 @@
-"""Shard execution backends and the sharded-replay entry points.
+"""Shard execution backends and the sharded-replay driver.
 
-Two backends run the shards produced by :mod:`repro.parallel.plan`:
+Every sharded replay — :func:`run_workload_sharded`,
+:func:`run_workflows_sharded` and
+:func:`repro.population.replay_population` — is a planning closure plus
+one call to :func:`_run_sharded`, the driver that snapshots the platform,
+runs the shards and merges them.  Two backends run the shards produced by
+:mod:`repro.parallel.plan`:
 
 * **sequential** — every shard replays in-process, one after another, each
   on its own freshly rebuilt platform.  This is the *reference backend*:
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import operator
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
@@ -99,37 +105,27 @@ def _shard_requests(shard: TraceShard | ScenarioShard) -> Iterable[InvocationReq
     return WorkloadTrace.merge(*traces)
 
 
-def _shard_series(platform, timeseries):
-    """Build and attach a shard-local time-series builder, if requested.
-
-    The builder observes the shard exactly as a serial attached builder
-    would: container create/evict via the platform hooks, crash evictions
-    via the engine observer, records folded in stream order by the caller.
-    Shards are function-disjoint and one function's records keep their
-    serial relative order within the shard stream, so each
-    per-``(function, window)`` reservoir ingests the same values at the
-    same indices as serially — the merged union is then byte-identical
-    (see :mod:`repro.observe.timeseries`).
-    """
-    if timeseries is None:
-        return None
-    builder = timeseries.build()
-    platform._observer = builder
-    return builder
-
-
 def _replay_trace_shard(
     snapshot: PlatformSnapshot,
     shard: TraceShard | ScenarioShard,
     keep_records: bool,
     timeseries=None,
 ) -> TraceShardOutcome:
-    """Worker entry point: rebuild the platform, replay one shard."""
+    """Worker entry point: rebuild the platform, replay one shard.
+
+    A requested time series gets a shard-local builder that observes the
+    shard exactly as a serial attached builder would: container
+    create/evict and crash evictions via the platform attachment, records
+    folded in stream order.  Shards are function-disjoint and one
+    function's records keep their serial relative order within the shard
+    stream, so each per-``(function, window)`` reservoir ingests the same
+    values at the same indices as serially — the merged union is then
+    byte-identical (see :mod:`repro.observe.timeseries`).
+    """
     platform = snapshot.build(shard.functions)
     engine = WorkloadEngine(platform)
-    series = _shard_series(platform, timeseries)
-    if series is not None:
-        engine.observer = series
+    series = timeseries.build() if timeseries is not None else None
+    platform._observer = series
     requests = _shard_requests(shard)
     if keep_records and not isinstance(shard, TraceShard):
         raise ConfigurationError("record-mode shards must carry materialised requests")
@@ -141,23 +137,15 @@ def _replay_trace_shard(
         (index for index, _ in shard.requests) if isinstance(shard, TraceShard) else None
     )
     emit = series.observe_record if series is not None else None
+    # Columnar record shards ship the parallel arrays, not record objects;
+    # the parent materialises after the merge.
     sink = engine.replay(requests, keep_records, positions=positions, emit=emit)
-    outcome = TraceShardOutcome(
+    return TraceShardOutcome(
         shard_index=shard.index,
-        records=None,
-        accumulator=None,
+        sink=sink,
         peak_in_flight=engine.last_peak_in_flight,
         timeseries=series,
     )
-    if not keep_records:
-        outcome.accumulator = sink
-    elif isinstance(sink, list):
-        outcome.records = [(record.request_index, record) for record in sink]
-    else:
-        # Columnar record shards ship the parallel arrays, not record
-        # objects; the parent materialises after the merge.
-        outcome.columnar = sink
-    return outcome
 
 
 def _replay_workflow_shard(
@@ -169,7 +157,7 @@ def _replay_workflow_shard(
     """Worker entry point: rebuild the platform, replay one workflow shard."""
     platform = snapshot.build(shard.functions)
     engine = WorkflowEngine(platform)
-    series = _shard_series(platform, timeseries)
+    series = timeseries.build() if timeseries is not None else None
     accumulators, executions, first_submitted, last_finished = fold_workflow_results(
         engine.stream(
             (arrival for _, arrival in shard.arrivals),
@@ -284,31 +272,93 @@ def _merge_shard_series(spec, outcomes):
     """Fold shard-local builders into one, in shard-index order (exact)."""
     builder = spec.build()
     for outcome in sorted(outcomes, key=lambda outcome: outcome.shard_index):
-        series = getattr(outcome, "timeseries", None)
-        if series is None:
+        if outcome.timeseries is None:
             raise CheckpointError(
                 f"shard {outcome.shard_index} outcome carries no time series — "
                 "it was checkpointed by a replay that did not request one; "
                 "re-run without resume=True (or without timeseries=) to rebuild it"
             )
-        builder.merge(series)
+        builder.merge(outcome.timeseries)
     return builder
 
 
-def _open_store(
-    checkpoint_dir: Path | str | None,
-    resume: bool,
-    snapshot: PlatformSnapshot,
-    shards,
+def _run_sharded(
+    platform,
+    plan: Callable[[], Sequence],
+    worker,
+    merge: Callable[..., object],
+    *,
+    workers,
     keep_records: bool,
+    backend: str | None,
+    supervision: SupervisorConfig | None = None,
+    checkpoint_dir: Path | str | None = None,
+    resume: bool = False,
+    timeseries=None,
+    profile: bool = False,
 ):
-    """Resolve the checkpoint store and the already-completed outcomes."""
-    if checkpoint_dir is None:
-        if resume:
-            raise CheckpointError("resume=True requires a checkpoint_dir")
-        return None, {}
-    store = CheckpointStore.for_plan(checkpoint_dir, snapshot, shards, keep_records)
-    return store, (dict(store.load()) if resume else {})
+    """The one sharded-replay driver: plan, run the shards, merge.
+
+    ``plan()`` returns the shards (validating the workload against
+    ``platform`` as it goes), ``worker(snapshot, shard, keep_records)``
+    replays one shard, and ``merge(provider, outcomes, keep_records,
+    wall_clock_s)`` folds the outcomes into a result.  The driver owns
+    everything around them: the argument checks, the platform snapshot,
+    checkpoint preloading and persistence, shard execution (supervised or
+    fail-fast), the time-series fold, and the ``plan`` / ``shards`` /
+    ``merge`` profile.
+    """
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ConfigurationError(f"workers must be an integer, got {workers!r}") from None
+    if workers < 1:
+        raise ConfigurationError("workers must be at least 1")
+    if resume and checkpoint_dir is None:
+        raise CheckpointError("resume=True requires a checkpoint_dir")
+    wall_start = time.perf_counter()
+    spec = _resolve_series_spec(timeseries)
+    profiler = ProfileBuilder()
+    with profiler.phase("plan"):
+        backend = _resolve_backend(backend, workers)
+        snapshot = PlatformSnapshot.capture(platform)
+        shards = plan()
+        store, preloaded = None, {}
+        if checkpoint_dir is not None:
+            store = CheckpointStore.for_plan(checkpoint_dir, snapshot, shards, keep_records)
+            preloaded = store.load() if resume else {}
+        todo = [shard for shard in shards if shard.index not in preloaded]
+    if spec is not None:
+        worker = functools.partial(worker, timeseries=spec)
+    with profiler.phase("shards"):
+        outcomes, report = _execute(
+            worker,
+            snapshot,
+            todo,
+            keep_records,
+            workers,
+            backend,
+            supervision=supervision,
+            on_complete=store.store if store is not None else None,
+        )
+    outcomes = list(outcomes) + list(preloaded.values())
+    with profiler.phase("merge"):
+        result = merge(platform.provider, outcomes, keep_records, time.perf_counter() - wall_start)
+        if spec is not None:
+            result.timeseries = _merge_shard_series(spec, outcomes)
+    result.supervision = report
+    if profile:
+        result.profile = profiler.build(supervision=report)
+    return result
+
+
+def _require_deployed(platform, shards, source: str) -> None:
+    """Refuse a plan whose shards name functions ``platform`` lacks."""
+    deployed = set(platform.functions())
+    for shard in shards:
+        missing = [fname for fname in shard.functions if fname not in deployed]
+        if missing:
+            raise ConfigurationError(f"{source} undeployed functions: {missing}")
 
 
 def run_workload_sharded(
@@ -362,66 +412,40 @@ def run_workload_sharded(
     ``plan`` / ``shards`` / ``merge`` phases on ``result.profile``
     (carrying the supervision report when the replay ran supervised).
     """
-    if workers < 1:
-        raise ConfigurationError("workers must be at least 1")
-    wall_start = time.perf_counter()
-    spec = _resolve_series_spec(timeseries)
-    profiler = ProfileBuilder()
-    with profiler.phase("plan"):
-        backend = _resolve_backend(backend, workers)
-        snapshot = PlatformSnapshot.capture(platform)
+
+    def plan() -> Sequence:
         planner = ShardPlanner()
-        if isinstance(trace, Scenario):
-            if keep_records:
-                raise ConfigurationError(
-                    "scenario sharding is streaming-only (keep_records=False): exact "
-                    "record ordering requires a materialised trace — build one with "
-                    "scenario.build_trace() first"
-                )
-            seed = platform.simulation.seed if trace_seed is None else trace_seed
-            shards: Sequence = planner.plan_scenario(trace, seed, workers)
-            deployed = set(platform.functions())
-            for shard in shards:
-                missing = [fname for fname in shard.functions if fname not in deployed]
-                if missing:
-                    raise ConfigurationError(
-                        f"scenario references undeployed functions: {missing}"
-                    )
-        else:
+        if not isinstance(trace, Scenario):
             shards = planner.plan_trace(iter(trace), workers)
             for shard in shards:
                 for fname in shard.functions:
                     platform.get_function(fname)  # unknown names fail before any replay
-        store, preloaded = _open_store(checkpoint_dir, resume, snapshot, shards, keep_records)
-        todo = [shard for shard in shards if shard.index not in preloaded]
-    worker = (
-        _replay_trace_shard
-        if spec is None
-        else functools.partial(_replay_trace_shard, timeseries=spec)
+            return shards
+        if keep_records:
+            raise ConfigurationError(
+                "scenario sharding is streaming-only (keep_records=False): exact "
+                "record ordering requires a materialised trace — build one with "
+                "scenario.build_trace() first"
+            )
+        seed = platform.simulation.seed if trace_seed is None else trace_seed
+        shards = planner.plan_scenario(trace, seed, workers)
+        _require_deployed(platform, shards, "scenario references")
+        return shards
+
+    return _run_sharded(
+        platform,
+        plan,
+        _replay_trace_shard,
+        merge_trace_outcomes,
+        workers=workers,
+        keep_records=keep_records,
+        backend=backend,
+        supervision=supervision,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        timeseries=timeseries,
+        profile=profile,
     )
-    with profiler.phase("shards"):
-        outcomes, report = _execute(
-            worker,
-            snapshot,
-            todo,
-            keep_records,
-            workers,
-            backend,
-            supervision=supervision,
-            on_complete=store.store if store is not None else None,
-        )
-    outcomes = list(outcomes) + list(preloaded.values())
-    with profiler.phase("merge"):
-        wall_clock_s = time.perf_counter() - wall_start
-        result = merge_trace_outcomes(
-            platform.provider, outcomes, keep_records=keep_records, wall_clock_s=wall_clock_s
-        )
-        if spec is not None:
-            result.timeseries = _merge_shard_series(spec, outcomes)
-    result.supervision = report
-    if profile:
-        result.profile = profiler.build(supervision=report)
-    return result
 
 
 def run_workflows_sharded(
@@ -450,50 +474,23 @@ def run_workflows_sharded(
     ``wall_clock_s`` starts before arrival materialisation and shard
     planning — the same phases the workload entry point times.
     """
-    if workers < 1:
-        raise ConfigurationError("workers must be at least 1")
-    wall_start = time.perf_counter()
-    spec = _resolve_series_spec(timeseries)
-    profiler = ProfileBuilder()
-    with profiler.phase("plan"):
-        backend = _resolve_backend(backend, workers)
-        snapshot = PlatformSnapshot.capture(platform)
-        arrivals = list(arrivals)
-        shards = ShardPlanner().plan_workflows(arrivals, workers)
-        deployed = set(platform.functions())
-        for shard in shards:
-            missing = [fname for fname in shard.functions if fname not in deployed]
-            if missing:
-                raise ConfigurationError(
-                    f"workflow arrivals reference undeployed functions: {missing}"
-                )
-        store, preloaded = _open_store(checkpoint_dir, resume, snapshot, shards, keep_records)
-        todo = [shard for shard in shards if shard.index not in preloaded]
-    worker = (
-        _replay_workflow_shard
-        if spec is None
-        else functools.partial(_replay_workflow_shard, timeseries=spec)
+
+    def plan() -> Sequence:
+        shards = ShardPlanner().plan_workflows(list(arrivals), workers)
+        _require_deployed(platform, shards, "workflow arrivals reference")
+        return shards
+
+    return _run_sharded(
+        platform,
+        plan,
+        _replay_workflow_shard,
+        merge_workflow_outcomes,
+        workers=workers,
+        keep_records=keep_records,
+        backend=backend,
+        supervision=supervision,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        timeseries=timeseries,
+        profile=profile,
     )
-    with profiler.phase("shards"):
-        outcomes, report = _execute(
-            worker,
-            snapshot,
-            todo,
-            keep_records,
-            workers,
-            backend,
-            supervision=supervision,
-            on_complete=store.store if store is not None else None,
-        )
-    outcomes = list(outcomes) + list(preloaded.values())
-    with profiler.phase("merge"):
-        wall_clock_s = time.perf_counter() - wall_start
-        result = merge_workflow_outcomes(
-            platform.provider, outcomes, keep_records=keep_records, wall_clock_s=wall_clock_s
-        )
-        if spec is not None:
-            result.timeseries = _merge_shard_series(spec, outcomes)
-    result.supervision = report
-    if profile:
-        result.profile = profiler.build(supervision=report)
-    return result

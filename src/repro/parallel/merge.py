@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..columnar.records import ColumnarRecordBlock
 from ..config import Provider
 from ..faas.invocation import InvocationRecord
 from ..workload.engine import (
@@ -66,22 +67,17 @@ class TraceShardOutcome:
     """What one trace shard replay produced (picklable)."""
 
     shard_index: int
-    #: ``(global_index, record)`` pairs in record mode, else ``None``.
-    records: list[tuple[int, InvocationRecord]] | None
-    #: Streaming-mode accumulator, else ``None``.
-    accumulator: _ReplayAccumulator | None
+    #: Exactly what :meth:`~repro.workload.engine.WorkloadEngine.replay`
+    #: returned: the record list or a
+    #: :class:`~repro.columnar.records.ColumnarRecordBlock` in record mode
+    #: (records carry their global ``request_index``; a block is
+    #: materialised by the parent after the merge), the
+    #: :class:`~repro.workload.engine._ReplayAccumulator` in streaming mode.
+    sink: list[InvocationRecord] | ColumnarRecordBlock | _ReplayAccumulator
     peak_in_flight: int
     #: Shard-local :class:`~repro.observe.timeseries.TimeSeriesBuilder`
-    #: when a simulated-time series was requested; ``None`` otherwise
-    #: (and absent from checkpoints written before the field existed —
-    #: readers must ``getattr`` with a default).
+    #: when a simulated-time series was requested, else ``None``.
     timeseries: object | None = None
-    #: Record-mode columnar shards ship the whole
-    #: :class:`~repro.columnar.records.ColumnarRecordBlock` across the
-    #: process boundary instead of materialised record objects; the parent
-    #: materialises after the merge.  ``None`` on scalar shards (and absent
-    #: from older checkpoints — readers must ``getattr`` with a default).
-    columnar: object | None = None
 
 
 @dataclass
@@ -110,18 +106,14 @@ def merge_trace_outcomes(
     if keep_records:
         records: list[InvocationRecord] = []
         for outcome in outcomes:
-            block = getattr(outcome, "columnar", None)
-            if block is not None:
-                records.extend(block.materialize())
-            else:
-                records.extend(record for _, record in outcome.records or ())
+            sink = outcome.sink
+            records.extend(sink if isinstance(sink, list) else sink.materialize())
         peak = WorkloadEngine._peak_in_flight(records)
         return record_result(provider, records, wall_clock_s=wall_clock_s, peak_in_flight=peak)
     merged = _ReplayAccumulator()
     peak = 0
     for outcome in outcomes:
-        if outcome.accumulator is not None:
-            merged.merge(outcome.accumulator)
+        merged.merge(outcome.sink)
         if outcome.peak_in_flight > peak:
             peak = outcome.peak_in_flight
     return streaming_result(provider, merged, wall_clock_s=wall_clock_s, peak_in_flight=peak)

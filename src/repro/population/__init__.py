@@ -27,7 +27,6 @@ from .spec import FunctionRecipe, PopulationArrivals, PopulationSpec
 from .ingest import IngestedPopulation, TraceIngest
 from .replay import (
     PopulationReplayResult,
-    PopulationSnapshot,
     TenantSpend,
     deploy_population,
     replay_population,
@@ -42,7 +41,6 @@ __all__ = [
     "FunctionRecipe",
     "TraceIngest",
     "IngestedPopulation",
-    "PopulationSnapshot",
     "PopulationReplayResult",
     "TenantSpend",
     "deploy_population",

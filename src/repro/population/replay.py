@@ -6,19 +6,20 @@ object per member in the parent — a million-function population would spend
 minutes (and gigabytes) before the first invocation replays.  This module is
 the scale path:
 
-* :class:`PopulationSnapshot` captures an **empty** platform recipe (class,
-  simulation config, clock, constructor kwargs) — deployment happens inside
-  each worker, for that worker's members only;
-* :func:`replay_population` plans member-disjoint shards
-  (:meth:`~repro.parallel.plan.ShardPlanner.plan_population`), runs them on
-  the existing shard executor (sequential or process backend, optional
-  supervision), and merges the streaming accumulators exactly like a
-  sharded trace replay;
+* :func:`replay_population` requires an **empty** platform, whose
+  :class:`~repro.parallel.snapshot.PlatformSnapshot` is then just the
+  rebuild recipe (class, simulation config, clock, constructor kwargs) —
+  deployment happens inside each worker, for that worker's members only;
+* it plans member-disjoint shards
+  (:meth:`~repro.parallel.plan.ShardPlanner.plan_population`) and runs them
+  through the same sharded-replay driver as trace replay (sequential or
+  process backend, optional supervision), merging the streaming
+  accumulators exactly like a sharded trace replay;
 * each worker synthesizes its members' arrivals from their own
   ``(seed, "pop", fname)`` streams, builds the merged stream with one
   stable ``argsort`` (reproducing the serial heap-merge tie order:
-  lower member index first), and folds it through the columnar hot path
-  when the platform enables it — the parent process stays O(shards).
+  lower member index first), and folds it through the columnar hot
+  path — the parent process stays O(shards).
 
 Parent-side memory is O(functions) only where it must be: the shard plan
 (one int per member) and the merged per-function accumulators.  No request
@@ -32,21 +33,19 @@ the flat per-function summaries cannot answer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from ..config import DYNAMIC_MEMORY, DEFAULT_REGIONS, FunctionConfig, SimulationConfig
+from ..config import DYNAMIC_MEMORY, DEFAULT_REGIONS, FunctionConfig
 from ..exceptions import ConfigurationError
 from ..faas.invocation import InvocationRequest
-from ..observe.profile import ProfileBuilder
-from ..parallel.executor import _execute, _resolve_backend
+from ..parallel.executor import _run_sharded
 from ..parallel.merge import TraceShardOutcome, merge_trace_outcomes
 from ..parallel.plan import PopulationShard, ShardPlanner
+from ..parallel.snapshot import PlatformSnapshot
 from ..parallel.supervisor import SupervisorConfig
-from ..utils.clock import VirtualClock
 from ..workload.engine import WorkloadEngine, WorkloadResult, _ReplayAccumulator
 from .spec import FunctionRecipe
 
@@ -76,53 +75,6 @@ class TenantSpend:
             "cost_usd": round(self.cost_usd, 8),
             "invocations": self.invocations,
         }
-
-
-@dataclass(frozen=True)
-class PopulationSnapshot:
-    """A picklable recipe that rebuilds an identical **empty** platform.
-
-    Unlike :class:`~repro.parallel.snapshot.PlatformSnapshot`, no function
-    deployments are captured: population workers deploy their own members
-    from the population recipe, so capturing requires a platform with *no*
-    functions at all — a deployed parent would collide with (or silently
-    diverge from) the worker-side deployments.
-    """
-
-    platform_class: type
-    simulation: SimulationConfig
-    clock_start: float
-    init_kwargs: tuple[tuple[str, object], ...] = ()
-
-    @classmethod
-    def capture(cls, platform) -> "PopulationSnapshot":
-        """Capture ``platform``'s rebuild recipe (must be empty and fresh)."""
-        if platform.execute_kernels:
-            raise ConfigurationError(
-                "population replay does not support execute_kernels=True: kernels "
-                "share one object store, which cannot be partitioned per shard"
-            )
-        deployed = platform.functions()
-        if deployed:
-            raise ConfigurationError(
-                "population replay deploys functions inside each worker; start "
-                f"from an empty platform (found {len(deployed)} deployed "
-                "functions)"
-            )
-        return cls(
-            platform_class=type(platform),
-            simulation=platform.simulation,
-            clock_start=platform.clock.now(),
-            init_kwargs=tuple(sorted(platform._snapshot_init_kwargs().items())),
-        )
-
-    def build(self):
-        """Instantiate an empty platform positioned at the captured clock."""
-        return self.platform_class(
-            simulation=self.simulation,
-            clock=VirtualClock(self.clock_start),
-            **dict(self.init_kwargs),
-        )
 
 
 def _resolve_memory(limits, requested_mb: int) -> int:
@@ -203,13 +155,14 @@ def _shard_request_stream(
 
 
 def _replay_population_shard(
-    snapshot: PopulationSnapshot, shard: PopulationShard, keep_records: bool
+    snapshot: PlatformSnapshot, shard: PopulationShard, keep_records: bool
 ) -> TraceShardOutcome:
     """Worker entry point: deploy the shard's members, replay their traffic.
 
-    Streaming-only: a million-function record list defeats the point of
-    the lazy recipe path, and the scenario bridge covers record-mode needs
-    for small populations.
+    ``snapshot`` is the recipe of an empty platform.  Streaming-only: a
+    million-function record list defeats the point of the lazy recipe
+    path, and the scenario bridge covers record-mode needs for small
+    populations.
     """
     if keep_records:
         raise ConfigurationError(
@@ -232,18 +185,14 @@ def _replay_population_shard(
     deploy_population(platform, recipes)
     if not active:
         return TraceShardOutcome(
-            shard_index=shard.index,
-            records=None,
-            accumulator=_ReplayAccumulator(),
-            peak_in_flight=0,
+            shard_index=shard.index, sink=_ReplayAccumulator(), peak_in_flight=0
         )
     engine = WorkloadEngine(platform)
     requests = _shard_request_stream(recipes, arrivals)
     accumulator = engine.replay(requests, keep_records=False)
     return TraceShardOutcome(
         shard_index=shard.index,
-        records=None,
-        accumulator=accumulator,
+        sink=accumulator,
         peak_in_flight=engine.last_peak_in_flight,
     )
 
@@ -348,8 +297,10 @@ def replay_population(
 ) -> PopulationReplayResult:
     """Sharded streaming replay of a population with tenant attribution.
 
-    ``platform`` must be empty and fresh — each worker deploys its own
-    members (see :class:`PopulationSnapshot`).  ``seed`` defaults to the
+    ``platform`` must be empty and fresh — each worker rebuilds it from
+    its :class:`~repro.parallel.snapshot.PlatformSnapshot` and deploys its
+    own members; a deployed parent would collide with (or silently diverge
+    from) the worker-side deployments.  ``seed`` defaults to the
     platform's simulation seed and drives both the population structure and
     every member's arrival stream, so the same ``(population, seed)`` pair
     replays bit-identically at any worker count: members are
@@ -357,41 +308,40 @@ def replay_population(
     name-derived, the same argument that covers sharded scenario replay.
 
     ``workers`` / ``backend`` / ``supervision`` / ``profile`` behave as in
-    :func:`~repro.parallel.executor.run_workload_sharded`; checkpointing is
+    :func:`~repro.parallel.executor.run_workload_sharded` (the same
+    driver runs both); checkpointing is
     not offered (population shards carry live population objects, which the
     plan fingerprint machinery does not cover).  ``top_tenants`` bounds the
     attribution list on the result.
     """
-    if workers < 1:
-        raise ConfigurationError("workers must be at least 1")
     if top_tenants < 0:
         raise ConfigurationError("top_tenants must be non-negative")
-    wall_start = time.perf_counter()
-    profiler = ProfileBuilder()
-    with profiler.phase("plan"):
-        backend = _resolve_backend(backend, workers)
-        snapshot = PopulationSnapshot.capture(platform)
-        seed = platform.simulation.seed if seed is None else int(seed)
-        shards = ShardPlanner().plan_population(population, seed, workers)
-    with profiler.phase("shards"):
-        outcomes, report = _execute(
-            _replay_population_shard,
-            snapshot,
-            shards,
-            False,
-            workers,
-            backend,
-            supervision=supervision,
+    deployed = platform.functions()
+    if deployed:
+        raise ConfigurationError(
+            "population replay deploys functions inside each worker; start "
+            f"from an empty platform (found {len(deployed)} deployed functions)"
         )
-    with profiler.phase("merge"):
-        wall_clock_s = time.perf_counter() - wall_start
-        result = merge_trace_outcomes(
-            platform.provider, outcomes, keep_records=False, wall_clock_s=wall_clock_s
-        )
-        spends = tenant_attribution(result, population, seed)
-    result.supervision = report
-    if profile:
-        result.profile = profiler.build(supervision=report)
+    seed = platform.simulation.seed if seed is None else int(seed)
+    spends: list[TenantSpend] = []
+
+    def merge(provider, outcomes: list, keep_records: bool, wall_clock_s: float) -> WorkloadResult:
+        """Merge the shard accumulators and attribute spend to tenants."""
+        result = merge_trace_outcomes(provider, outcomes, keep_records, wall_clock_s)
+        spends.extend(tenant_attribution(result, population, seed))
+        return result
+
+    result = _run_sharded(
+        platform,
+        lambda: ShardPlanner().plan_population(population, seed, workers),
+        _replay_population_shard,
+        merge,
+        workers=workers,
+        keep_records=False,
+        backend=backend,
+        supervision=supervision,
+        profile=profile,
+    )
     return PopulationReplayResult(
         result=result,
         population_name=population.name,

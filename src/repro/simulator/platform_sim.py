@@ -266,9 +266,10 @@ class SimulatedPlatform(FaaSPlatform):
         self._state: dict[str, _FunctionRuntimeState] = {}
         #: Compiled constants per function class (see :meth:`_class_of`).
         self._classes: dict[tuple, FunctionClass] = {}
-        #: Optional :class:`repro.observe.events.ReplayObserver`, attached
-        #: for the duration of a replay (container lifecycle hooks).  Every
-        #: hook site is ``if self._observer is not None``-guarded and fires
+        #: Optional :class:`repro.observe.events.ReplayObserver`: the one
+        #: attachment point, set by the engines for the duration of a replay
+        #: and read by both replay loops (container lifecycle, crash and
+        #: breaker hooks).  Every hook site is ``None``-guarded and fires
         #: post-decision with already-computed values, so a detached replay
         #: is untouched and an attached one is bit-identical.
         self._observer = None
@@ -702,14 +703,10 @@ class SimulatedPlatform(FaaSPlatform):
         profile:
             Collect host wall-clock phase timings (default ``False``).
         """
-        if workers is not None:
+
+        def sharded(**knobs):
             from ..parallel import run_workload_sharded
 
-            if observer is not None:
-                raise ConfigurationError(
-                    "event observers attach to serial replay only; sharded "
-                    "replay supports timeseries= (exact merge) and profile="
-                )
             return run_workload_sharded(
                 self,
                 trace,
@@ -717,6 +714,53 @@ class SimulatedPlatform(FaaSPlatform):
                 workers=workers,
                 backend=backend,
                 trace_seed=trace_seed,
+                **knobs,
+            )
+
+        return self._dispatch_replay(
+            sharded,
+            lambda attach: WorkloadEngine(self).run(trace, keep_records, observer=attach),
+            trace,
+            workers=workers,
+            supervision=supervision,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            observer=observer,
+            timeseries=timeseries,
+            profile=profile,
+        )
+
+    def _dispatch_replay(
+        self,
+        sharded,
+        serial,
+        trace,
+        *,
+        workers,
+        supervision,
+        checkpoint_dir,
+        resume,
+        observer,
+        timeseries,
+        profile,
+    ):
+        """The serial/sharded dispatch rules of the replay entry points.
+
+        With ``workers`` set, returns ``sharded(**knobs)`` with the
+        supervision, checkpoint and observability knobs; event observers
+        are refused there.  Otherwise the sharded-only knobs are refused and
+        ``serial(attach)`` runs with ``attach`` the composite of the
+        caller's observer and the requested time-series builder (or
+        ``None``); the builder and, with ``profile``, a single ``replay``
+        phase land on the result.
+        """
+        if workers is not None:
+            if observer is not None:
+                raise ConfigurationError(
+                    "event observers attach to serial replay only; sharded "
+                    "replay supports timeseries= (exact merge) and profile="
+                )
+            return sharded(
                 supervision=supervision,
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
@@ -728,30 +772,6 @@ class SimulatedPlatform(FaaSPlatform):
                 "supervision/checkpoint_dir/resume apply to sharded replay only: "
                 "pass workers= as well"
             )
-        attach, builder = self._observation(observer, timeseries)
-        profiler = ProfileBuilder()
-        engine = WorkloadEngine(self)
-        if attach is not None:
-            engine.observer = attach
-            self._observer = attach
-            self._announce_fault_windows(attach, trace)
-        try:
-            with profiler.phase("replay"):
-                result = engine.run(trace, keep_records=keep_records)
-        finally:
-            self._observer = None
-        result.timeseries = builder
-        if profile:
-            result.profile = profiler.build()
-        return result
-
-    def _observation(self, observer, timeseries):
-        """Resolve the observability kwargs shared by the replay entry points.
-
-        Returns ``(attached observer or None, time-series builder or
-        None)``; the attached observer is the composite of the caller's
-        observer and the time-series builder.
-        """
         builder = None
         attach = observer
         if timeseries is not None:
@@ -769,7 +789,15 @@ class SimulatedPlatform(FaaSPlatform):
                 from ..observe.events import CompositeObserver
 
                 attach = CompositeObserver([attach, builder])
-        return attach, builder
+        if attach is not None:
+            self._announce_fault_windows(attach, trace)
+        profiler = ProfileBuilder()
+        with profiler.phase("replay"):
+            result = serial(attach)
+        result.timeseries = builder
+        if profile:
+            result.profile = profiler.build()
+        return result
 
     def _announce_fault_windows(self, observer, trace) -> None:
         """Emit every scheduled fault window once, at replay start.
@@ -854,53 +882,30 @@ class SimulatedPlatform(FaaSPlatform):
         """
         from ..workflows.engine import WorkflowEngine
 
-        if workers is not None:
+        if workers is not None and record_sink is not None:
+            raise PlatformError("record_sink is not supported with sharded replay")
+
+        def sharded(**knobs):
             from ..parallel import run_workflows_sharded
 
-            if record_sink is not None:
-                raise PlatformError("record_sink is not supported with sharded replay")
-            if observer is not None:
-                raise ConfigurationError(
-                    "event observers attach to serial replay only; sharded "
-                    "replay supports timeseries= (exact merge) and profile="
-                )
             return run_workflows_sharded(
-                self,
-                arrivals,
-                keep_records=keep_records,
-                workers=workers,
-                backend=backend,
-                supervision=supervision,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                timeseries=timeseries,
-                profile=profile,
+                self, arrivals, keep_records=keep_records, workers=workers, backend=backend, **knobs
             )
-        if supervision is not None or checkpoint_dir is not None or resume:
-            raise ConfigurationError(
-                "supervision/checkpoint_dir/resume apply to sharded replay only: "
-                "pass workers= as well"
-            )
-        attach, builder = self._observation(observer, timeseries)
-        profiler = ProfileBuilder()
-        engine = WorkflowEngine(self)
-        if attach is not None:
-            self._observer = attach
-            self._announce_fault_windows(attach, trace=None)
-        try:
-            with profiler.phase("replay"):
-                result = engine.run(
-                    arrivals,
-                    keep_records=keep_records,
-                    record_sink=record_sink,
-                    observer=attach,
-                )
-        finally:
-            self._observer = None
-        result.timeseries = builder
-        if profile:
-            result.profile = profiler.build()
-        return result
+
+        return self._dispatch_replay(
+            sharded,
+            lambda attach: WorkflowEngine(self).run(
+                arrivals, keep_records=keep_records, record_sink=record_sink, observer=attach
+            ),
+            None,
+            workers=workers,
+            supervision=supervision,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            observer=observer,
+            timeseries=timeseries,
+            profile=profile,
+        )
 
     # ------------------------------------------------------------- internals
     def _release_container(self, fname: str, container_id: str) -> None:

@@ -433,8 +433,8 @@ class WorkflowEngine:
         (drill-down without the engine retaining them).  ``observer`` is a
         :class:`~repro.observe.events.ReplayObserver`: it receives every
         stage record with its workflow/stage attribution
-        (``on_workflow_stage``) and is forwarded to the inner workload
-        engine for container/breaker/fault events.  Observation is pure —
+        (``on_workflow_stage``) and is attached to the platform for the
+        replay, for container/breaker/fault events.  Observation is pure —
         no draws, no reordering — so the yielded results are bit-identical
         with or without it.
 
@@ -509,8 +509,7 @@ class WorkflowEngine:
                 )
 
         inner = WorkloadEngine(platform)
-        if observer is not None:
-            inner.observer = observer
+        platform._observer = observer
         try:
             for record in inner.stream(source()):
                 if record_sink is not None:
@@ -525,6 +524,7 @@ class WorkflowEngine:
                 while finished:
                     yield finished.popleft()
         finally:
+            platform._observer = None
             self.last_peak_in_flight = inner.last_peak_in_flight
         # Executions resolved without any invocation after the last record
         # (e.g. trailing arrivals whose every stage was skipped).

@@ -758,12 +758,6 @@ class WorkloadEngine:
 
     def __init__(self, platform: "SimulatedPlatform"):
         self.platform = platform
-        #: Optional :class:`repro.observe.events.ReplayObserver`.  Hooks
-        #: fire post-decision with values the engine already computed —
-        #: never an RNG draw, never an ordering change — so an attached
-        #: observer leaves the replay bit-identical (``None`` = detached,
-        #: and every hook site is guarded so detachment costs nothing).
-        self.observer = None
         #: Peak concurrency observed by the most recent stream() pass.
         self.last_peak_in_flight = 0
         #: Set while stream() is active: callable returning the
@@ -851,7 +845,7 @@ class WorkloadEngine:
         that resolved first; ``request_index`` recovers arrival order.
         """
         platform = self.platform
-        observer = self.observer
+        observer = platform._observer
         overload = platform._overload
         policy = platform._retry_policy
         hedge = platform._hedge
@@ -1551,20 +1545,22 @@ class WorkloadEngine:
         lazy request iterable (validated as it is consumed) and the replay
         aggregates in O(functions) memory.
 
-        ``observer`` receives ``on_invocation`` per terminal record in
-        stream order (resolution order under the overload model — the
-        record list itself is still sorted back to arrival order), plus
-        breaker-transition hooks from the controlled replay.
+        ``observer`` is attached to the platform for the replay (container
+        lifecycle, crash-eviction and breaker-transition hooks) and receives
+        ``on_invocation`` per terminal record in stream order (resolution
+        order under the overload model — the record list itself is still
+        sorted back to arrival order).
         """
-        if observer is not None:
-            self.observer = observer
-        observer = self.observer
         if isinstance(trace, (WorkloadTrace, MergedWorkloadTrace)):
             for fname in trace.functions():
                 self.platform.get_function(fname)
         wall_start = time.perf_counter()
         emit = observer.on_invocation if observer is not None else None
-        sink = self.replay(trace, keep_records, emit=emit)
+        self.platform._observer = observer
+        try:
+            sink = self.replay(trace, keep_records, emit=emit)
+        finally:
+            self.platform._observer = None
         provider, peak = self.platform.provider, self.last_peak_in_flight
         if not keep_records:
             return streaming_result(provider, sink, time.perf_counter() - wall_start, peak)

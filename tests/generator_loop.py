@@ -25,20 +25,22 @@ def generator_run(platform, requests, keep_records=True, observer=None, position
     """Replay ``requests`` through ``WorkloadEngine.stream`` and fold the result.
 
     ``observer`` receives ``on_invocation`` per record in stream order and
-    is attached to the engine (breaker-transition hooks), as
-    ``WorkloadEngine.run`` does.
+    is attached to the platform for the replay (container lifecycle and
+    breaker-transition hooks), as ``WorkloadEngine.run`` does.
     """
     engine = WorkloadEngine(platform)
-    if observer is not None:
-        engine.observer = observer
     records = []
     accumulator = _ReplayAccumulator()
     add = records.append if keep_records else accumulator.add
     wall_start = time.perf_counter()
-    for record in engine.stream(requests, positions):
-        if observer is not None:
-            observer.on_invocation(record)
-        add(record)
+    platform._observer = observer
+    try:
+        for record in engine.stream(requests, positions):
+            if observer is not None:
+                observer.on_invocation(record)
+            add(record)
+    finally:
+        platform._observer = None
     wall_clock_s = time.perf_counter() - wall_start
     peak = engine.last_peak_in_flight
     if not keep_records:

@@ -294,7 +294,7 @@ def test_streaming_resume_with_untagged_reservoirs_is_byte_identical(tmp_path):
     resuming from them merges to exactly the serial streaming result."""
     outcomes = _resume_from_streaming_checkpoints(tmp_path, _trace())
     samples = [
-        sample for outcome in outcomes.values() for sample in outcome.accumulator.samples
+        sample for outcome in outcomes.values() for sample in outcome.sink.samples
     ]
     assert samples and all(type(sample) is list and sample for sample in samples)
 
@@ -307,7 +307,7 @@ def test_streaming_resume_with_promoted_rows_is_byte_identical(tmp_path):
     kinds = {
         type(sample).__name__
         for outcome in outcomes.values()
-        for sample in outcome.accumulator.samples
+        for sample in outcome.sink.samples
     }
     assert kinds == {"list", "StreamingSummary"}
 

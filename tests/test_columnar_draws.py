@@ -135,15 +135,6 @@ class TestInterleavedShims:
 
     @given(seed=seeds, pattern=st.lists(st.booleans(), min_size=1, max_size=3 * BLOCK))
     @settings(deadline=None, max_examples=30)
-    def test_lognormal_interleaving(self, seed, pattern):
-        block = LognormalBlock(_gen(seed), 0.25, 0.5)
-        scalar_rng = _gen(seed)
-        for via_shim in pattern:
-            value = block.lognormal(0.25, 0.5) if via_shim else block.take()
-            assert value == scalar_rng.lognormal(0.25, 0.5)
-
-    @given(seed=seeds, pattern=st.lists(st.booleans(), min_size=1, max_size=3 * BLOCK))
-    @settings(deadline=None, max_examples=30)
     def test_exponential_interleaving(self, seed, pattern):
         block = ExponentialBlock(_gen(seed), 0.004)
         scalar_rng = _gen(seed)
@@ -156,16 +147,6 @@ class TestInterleavedShims:
 
 
 class TestShimParameterGuards:
-    def test_lognormal_rejects_mismatched_parameters(self):
-        block = LognormalBlock(_gen(1), 0.25, 0.5)
-        with pytest.raises(ConfigurationError):
-            block.lognormal(0.25, 0.6)
-        with pytest.raises(ConfigurationError):
-            block.lognormal(0.3, 0.5)
-        # The stream is not advanced by a rejected draw.
-        scalar_rng = _gen(1)
-        assert block.take() == scalar_rng.lognormal(0.25, 0.5)
-
     def test_exponential_rejects_mismatched_scale(self):
         block = ExponentialBlock(_gen(1), 0.004)
         with pytest.raises(ConfigurationError):

@@ -343,7 +343,6 @@ class TestSharded:
 
         serial_platform, fnames = _build_platform(Provider.AWS, 2026)
         builder = TimeSeriesSpec(window_s=5.0).build()
-        serial_platform._observer = builder
         serial = generator_run(serial_platform, _mixed_trace(fnames), False, builder)
         platform, fnames = _build_platform(Provider.AWS, 2026)
         sharded = run_workload_sharded(

@@ -44,9 +44,11 @@ from repro.observe import (
     write_prometheus_snapshot,
     write_timeseries_csv,
 )
+from repro.parallel import SupervisorConfig
+from repro.population import PopulationSpec, replay_population
 from repro.simulator.providers import create_platform
-from repro.workflows import standard_workflow, synthesize_workflow_arrivals
-from repro.workload import BurstyArrivals, PoissonArrivals, WorkloadTrace
+from repro.workflows import WorkflowEngine, standard_workflow, synthesize_workflow_arrivals
+from repro.workload import BurstyArrivals, PoissonArrivals, WorkloadEngine, WorkloadTrace
 
 PROVIDERS = (Provider.AWS, Provider.GCP, Provider.AZURE)
 
@@ -231,6 +233,25 @@ def test_merge_rejects_mismatched_specs():
         narrow.merge(wide)
 
 
+def test_engine_and_platform_observers_log_the_same_events():
+    """The engines attach an observer to the platform exactly as the
+    platform entry points do, so container lifecycle events are not lost."""
+    trace = _trace(10.0)
+    via_platform, via_engine = EventLog(), EventLog()
+    _platform().run_workload(trace, observer=via_platform)
+    WorkloadEngine(_platform()).run(trace, observer=via_engine)
+    assert any(isinstance(event, ContainerEvent) for event in via_platform.events)
+    assert via_engine.events == via_platform.events
+
+    platform, arrivals = _workflow_setup(Provider.AWS)
+    via_platform, via_engine = EventLog(), EventLog()
+    platform.run_workflows(arrivals, observer=via_platform)
+    platform, arrivals = _workflow_setup(Provider.AWS)
+    WorkflowEngine(platform).run(arrivals, observer=via_engine)
+    assert any(isinstance(event, ContainerEvent) for event in via_platform.events)
+    assert via_engine.events == via_platform.events
+
+
 def test_event_observer_requires_serial_replay():
     with pytest.raises(ConfigurationError):
         _platform().run_workload(_trace(10.0), workers=2, observer=EventLog())
@@ -267,13 +288,36 @@ def test_serial_profile_covers_the_replay_phase():
     assert rows and all(set(row) == {"phase", "seconds", "share"} for row in rows)
 
 
-def test_sharded_profile_has_plan_shards_merge_phases():
-    result = _platform().run_workload(
-        _trace(20.0), workers=2, backend="sequential", profile=True
-    )
+def _sharded_workload(**kwargs):
+    return _platform().run_workload(_trace(20.0), **kwargs)
+
+
+def _sharded_workflows(**kwargs):
+    platform, arrivals = _workflow_setup(Provider.AWS)
+    return platform.run_workflows(arrivals, **kwargs)
+
+
+def _sharded_population(**kwargs):
+    population = PopulationSpec(n_functions=30, duration_s=20.0, aggregate_rate_per_s=3.0)
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=21))
+    return replay_population(platform, population, **kwargs).result
+
+
+@pytest.mark.parametrize(
+    "replay, supervision",
+    [
+        (_sharded_workload, None),
+        (_sharded_workflows, None),
+        (_sharded_population, SupervisorConfig()),
+    ],
+    ids=["run_workload", "run_workflows", "replay_population"],
+)
+def test_sharded_profile_has_plan_shards_merge_phases(replay, supervision):
+    result = replay(workers=2, backend="sequential", supervision=supervision, profile=True)
     assert set(result.profile.phases) == {"plan", "shards", "merge"}
-    # The profile mirrors whatever supervision the replay ran with (none here).
+    # The profile mirrors whatever supervision the replay ran with.
     assert result.profile.supervision == result.supervision
+    assert (result.supervision is not None) == (supervision is not None)
     document = result.profile.to_dict()
     assert set(document["phases"]) == {"plan", "shards", "merge"}
 

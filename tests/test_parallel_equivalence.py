@@ -26,6 +26,7 @@ from repro.config import Provider, SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import deploy_benchmark
 from repro.parallel import PlatformSnapshot, ShardPlanner
+from repro.population import PopulationSpec, replay_population
 from repro.simulator.providers import create_platform
 from repro.workload import (
     BurstyArrivals,
@@ -613,7 +614,18 @@ def test_large_scale_streaming_parallel_equivalence():
 def test_invalid_worker_and_backend_arguments():
     platform = _platform(Provider.AWS)
     trace = _trace("poisson", duration_s=5.0)
-    with pytest.raises(ConfigurationError, match="workers"):
-        platform.run_workload(trace, workers=0)
-    with pytest.raises(ConfigurationError, match="backend"):
-        platform.run_workload(trace, workers=2, backend="threads")
+    arrivals = _workflow_arrivals()
+    population = PopulationSpec(n_functions=20, duration_s=10.0, aggregate_rate_per_s=2.0)
+    entry_points = (
+        lambda **kw: platform.run_workload(trace, **kw),
+        lambda **kw: _workflow_platform(Provider.AWS).run_workflows(arrivals, **kw),
+        lambda **kw: replay_population(
+            create_platform(Provider.AWS, SimulationConfig(seed=7)), population, **kw
+        ),
+    )
+    for replay in entry_points:
+        for workers in (0, -1, 2.5, 1.0, "2"):
+            with pytest.raises(ConfigurationError, match="workers"):
+                replay(workers=workers)
+        with pytest.raises(ConfigurationError, match="backend"):
+            replay(workers=2, backend="threads")

@@ -22,7 +22,7 @@ import pytest
 
 from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, TriggerType
 from repro.exceptions import ConfigurationError
-from repro.parallel import ShardPlanner
+from repro.parallel import PlatformSnapshot, ShardPlanner
 from repro.population import (
     SEBS_PROFILES,
     AppProfile,
@@ -33,7 +33,6 @@ from repro.population import (
 )
 from repro.population.ingest import summarize_population
 from repro.population.replay import (
-    PopulationSnapshot,
     _replay_population_shard,
     _resolve_memory,
     _shard_request_stream,
@@ -227,12 +226,15 @@ class TestPopulationReplay:
     def test_snapshot_refuses_deployed_or_kernel_platforms(self):
         platform = _platform()
         deploy_population(platform, [SMALL.recipe(0, 42)])
-        with pytest.raises(ConfigurationError):
-            PopulationSnapshot.capture(platform)
+        with pytest.raises(ConfigurationError, match="empty platform"):
+            replay_population(platform, SMALL)
+        kernels = create_platform(Provider.AWS, SimulationConfig(seed=42), execute_kernels=True)
+        with pytest.raises(ConfigurationError, match="execute_kernels"):
+            replay_population(kernels, SMALL)
 
     def test_shard_worker_refuses_record_mode(self):
         platform = _platform()
-        snapshot = PopulationSnapshot.capture(platform)
+        snapshot = PlatformSnapshot.capture(platform)
         (shard,) = ShardPlanner().plan_population(SMALL, seed=42, workers=1)
         with pytest.raises(ConfigurationError):
             _replay_population_shard(snapshot, shard, keep_records=True)
