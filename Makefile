@@ -12,7 +12,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## tier-1 suite with the coverage gate CI enforces (>=80% on stats +
-## parallel + faults + resilience + observe + columnar).  Falls back to
+## parallel + faults + resilience + observe + columnar + the invocation
+## step both replay loops share).  Falls back to
 ## the plain tier-1 run when pytest-cov is not installed, so `make ci`
 ## works in minimal environments too.
 test-cov:
@@ -21,6 +22,7 @@ test-cov:
 			--cov=repro.stats --cov=repro.parallel \
 			--cov=repro.faults --cov=repro.resilience \
 			--cov=repro.observe --cov=repro.columnar \
+			--cov=repro.simulator.step \
 			--cov-report=term-missing --cov-fail-under=80; \
 	else \
 		echo "pytest-cov not installed; running tier-1 tests without the coverage gate"; \

@@ -7,8 +7,8 @@ cooperating pieces:
 * :mod:`repro.columnar.draws` — pre-drawn random blocks wrapping the
   blockable per-function streams (gateway, network, reliability,
   spurious), installed at runtime-state creation;
-* :mod:`repro.columnar.records` — struct-of-arrays invocation storage
-  with lazy record materialisation;
+* :mod:`repro.columnar.records` — row storage of the invocation step's
+  values with lazy record materialisation;
 * :mod:`repro.columnar.engine` — the flat replay loop.
 
 Every result is bit-identical to the generator loop

@@ -14,17 +14,14 @@ already exploits for its tag blocks, and which
 The fifth stream — *compute* — interleaves lognormal, uniform, exponential
 and normal draws data-dependently (jitter, storage contention, cold-start
 erratic delays, memory noise), so batching it would permute bit-stream
-consumption.  It stays scalar; the columnar engine merely inlines the
-arithmetic around it.
+consumption.  It stays scalar.
 
 Each block object *wraps* the live generator of a function's runtime state
 and replaces it in place (``state.gateway_stream``, ``state.network._rng``,
-…).  Scalar code paths that still draw from the stream (the controlled
-overload/fault replay loop, direct ``platform.invoke`` calls) hit the
-shim methods (`random`, and the parameter-checked `exponential`) and
-receive exactly the values the raw generator would have produced — which is
-how the blocks compose with the overload/fault/resilience stack without a
-second code path.
+…).  Every consumer reads it through :meth:`_Block.take` (which the
+invocation step, :func:`repro.simulator.step.invoke_step`, inlines), so
+both replay loops and direct ``platform.invoke`` calls read one buffered
+sequence.
 
 Batch-boundary rule: a block pre-draws values in batches, so after a
 replay the *underlying* generator sits at the next batch boundary rather
@@ -45,7 +42,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
 from ..utils.rng import LazyStream
 
 #: Values drawn by a block's first refill; each later refill doubles it.
@@ -74,7 +70,7 @@ class _Block:
     def refill(self) -> list[float]:
         """Draw the next batch (16, 32, 64, 128, then 256 values) and rewind.
 
-        The columnar loop inlines ``take`` and calls this only when its
+        The invocation step inlines ``take`` and calls this only when its
         cursor reaches the end of the batch.
         """
         rng = self._rng
@@ -105,10 +101,6 @@ class UniformBlock(_Block):
 
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
-
-    def random(self) -> float:
-        """Scalar-compatible shim for code that still calls ``.random()``."""
-        return self.take()
 
 
 class LognormalBlock(_Block):
@@ -146,14 +138,6 @@ class ExponentialBlock(_Block):
 
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(self._scale, size)
-
-    def exponential(self, scale: float) -> float:
-        """Scalar-compatible shim; the scale must match the block's."""
-        if scale != self._scale:
-            raise ConfigurationError(
-                f"columnar exponential block drawn with scale {scale} != pinned {self._scale}"
-            )
-        return self.take()
 
 
 def install_draw_blocks(state, platform) -> None:

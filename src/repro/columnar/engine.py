@@ -1,46 +1,37 @@
 """The vectorized (columnar) trace-replay hot loop.
 
-One flat loop replaces the scalar call stack
-(``WorkloadEngine.stream`` → ``_simulate_invocation`` →
-``_simulate_reserved_invocation`` → compute / reliability / billing /
-network models) for every batch replay
+One flat loop runs every batch replay
 :meth:`~repro.workload.engine.WorkloadEngine.replay` can hand it: no
 overload admission, no fault plane, no client resilience, no kernel
-execution.  Everything a record
-shares with its function — CPU share, jitter parameters, storage transfer
-bases, billing constants, reliability gates — is compiled by the models
-themselves once per function *class*
+execution.  Sandbox acquisition and release, the completion heap, the
+provider log and the sinks are inlined against the pool's internal
+structures; the invocation itself — draws, reliability gates, delays and
+billing — is :func:`repro.simulator.step.invoke_step`, the step the
+generator loop (:meth:`~repro.workload.engine.WorkloadEngine.stream`)
+calls too.  Everything a record shares with its function — CPU share,
+jitter parameters, storage transfer bases, billing constants, reliability
+gates — is compiled by the models themselves once per function *class*
 (:class:`~repro.simulator.platform_sim.FunctionClass`, cached on the
-platform and read by the generator loop too) and copied into each
-function's :class:`_Lane` (see :func:`_build_lane`); per invocation only
-the data-dependent draws and float arithmetic remain.
+platform) and copied into each function's :class:`_Lane` (see
+:func:`_build_lane`), which both loops hand to the step.
 
-**Draw-order contract.**  The loop consumes the per-function random
-streams in exactly the scalar order:
+**Draw-order contract.**  Per invocation the loop consumes the
+per-function random streams in the generator loop's order:
 
 1. eviction-policy apply (own per-pool stream, delegated to the policy);
 2. spurious cold-start uniform (only when the provider's probability > 0);
-3. compute stream — jitter lognormal, contention uniform, per-transfer
-   storage lognormals (one ``size=k`` draw, see
-   :func:`~repro.simulator.compute.storage_burst_time`),
-   cold-init draws (delegated to
-   :meth:`~repro.simulator.compute.ComputeModel.cold_init_time` — the cold
-   path is rare and data-dependent), memory normal;
-4. reliability stream — sporadic-OOM uniform (GCP, borderline lanes only),
-   availability uniform (GCP/Azure at concurrency ≥ 10);
-5. gateway lognormal;
-6. network exponentials (request, then response).
+3. the step's draws, in the order :mod:`repro.simulator.step` documents
+   (compute, reliability, gateway, network).
 
-Streams 2, 4, 5 and 6 are served from the pre-drawn blocks installed by
-:func:`repro.columnar.draws.install_draw_blocks`; stream 3 is heterogeneous
-and stays scalar (see :mod:`repro.columnar.draws`).  Every float operation
-is replicated in the scalar path's evaluation order, so records, streaming
-summaries, provider logs, pool state and the clock are bit-identical — the
-differential tier in ``tests/test_columnar_equivalence.py`` asserts it.
+Every stream but the compute stream is served from the pre-drawn blocks
+installed by :func:`repro.columnar.draws.install_draw_blocks`, so records,
+streaming summaries, provider logs, pool state and the clock are
+bit-identical to the generator loop — the differential tier in
+``tests/test_columnar_equivalence.py`` asserts it.
 
 Three sink modes share the loop:
 
-* **record** — per-invocation variables append to a
+* **record** — one row per invocation appends to a
   :class:`~repro.columnar.records.ColumnarRecordBlock`; record objects are
   materialised lazily after the loop (``keep_records=True``);
 * **fold** — per-lane counters and buffers fold in batches into the rows
@@ -49,7 +40,7 @@ Three sink modes share the loop:
   creating a record (``keep_records=False``);
 * **emit** — an attached observer needs the record object and its hooks in
   stream order, so records are built inline and handed to a callback (the
-  loop still wins the blocked draws and the inlined arithmetic).
+  loop still wins the inlined pool operations).
 
 Provider-log entries are buffered as arrays and materialised into
 ``state.history`` once, after the loop (bounded by ``log_retention``).
@@ -59,26 +50,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Callable, Iterable
 
-from ..config import InvocationOutcome, StartType, TriggerType
+from ..config import StartType, TriggerType
 from ..exceptions import ConfigurationError
-from ..faas.billing import CompiledBilling, CostBreakdown
-from ..faas.invocation import InvocationRecord, payload_wire_bytes
-from ..simulator.compute import CompiledCompute, storage_burst_time
+from ..faas.billing import CompiledBilling
+from ..simulator.compute import CompiledCompute
 from ..simulator.containers import Container, ContainerState
 from ..simulator.platform_sim import CompiledOverhead, SimulatedPlatform, _LogEntry
 from ..simulator.reliability import CompiledReliability
-from ..utils.units import round_up
+from ..simulator.step import invocation_record, invoke_step, upload_time
 from ..workload.engine import _PRUNE_INTERVAL, _ReplayAccumulator
 from .records import ColumnarRecordBlock, LaneMeta
 
 _HTTP = TriggerType.HTTP
 _COLD = StartType.COLD
 _WARM = StartType.WARM
-_COMPLETED = InvocationOutcome.COMPLETED
-_FAILED = InvocationOutcome.FAILED
 _CS_WARM = ContainerState.WARM
 #: ``Container.is_warm`` as a membership test, hoisted for the inlined
 #: pool operations (pick / release re-offer).
@@ -114,15 +101,14 @@ class _Lane:
         "fname",
         "version",
         "function",
-        "benchmark",
         "memory_mb",
         "profile",
         "package_mb",
         "timeout_s",
         "peak_memory_mb",
-        # Overridden sandbox acquisition (IaaS's always-warm VM); ``None``
-        # selects the inlined base-platform path.
-        "acquire",
+        "runtime_overhead_s",
+        # what every record of the function shares (see invocation_record)
+        "meta",
         "sp_p",
         # pool / container plumbing.  The pick / reserve / finish-serve /
         # release operations are inlined in the loop against the pool's
@@ -137,7 +123,7 @@ class _Lane:
         "index",
         "cap",
         "in_flight",
-        # compute stream (scalar draws, inlined arithmetic)
+        # compute stream (scalar draws)
         "c_lognormal",
         "c_normal",
         # storage-model stream (the compute generator unless the platform
@@ -151,8 +137,8 @@ class _Lane:
         "net_block",
         "sp_take",
         # provider-log buffer: one flat list, ``_LOG_FIELDS`` values per
-        # invocation
-        "state",
+        # invocation, materialised into ``history`` (the state's deque)
+        "history",
         "log",
         # sink state
         "lane_idx",
@@ -165,7 +151,11 @@ class _Lane:
 
 
 def _build_lane(platform, fname: str) -> _Lane:
-    """Resolve one function into a lane (first appearance).
+    """Resolve one function into a lane.
+
+    The columnar loop builds one per function per replay, at the function's
+    first appearance; the generator loop builds one per runtime state and
+    caches it there (``state.lane``).
 
     The constants come from the function's compiled class (see
     :class:`~repro.simulator.platform_sim.FunctionClass`), which the
@@ -187,19 +177,15 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.fname = function.name
     lane.version = function.version
     lane.function = function
-    lane.benchmark = function.benchmark
     lane.memory_mb = klass.memory_mb
     lane.profile = klass.profile
     lane.package_mb = klass.package_mb
     lane.timeout_s = klass.timeout_s
     lane.peak_memory_mb = klass.profile.peak_memory_mb
-    # A platform that overrides sandbox acquisition (IaaS) keeps its own
-    # semantics: the loop calls the override per invocation instead of the
-    # inlined base path.
-    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
-        lane.acquire = None
-    else:
-        lane.acquire = platform._acquire_container
+    lane.runtime_overhead_s = platform._runtime_overhead_s
+    lane.meta = LaneMeta(
+        function.name, function.benchmark, platform.provider, klass.memory_mb, klass.profile.output_bytes
+    )
     lane.sp_p = platform._spurious_probability
 
     pool = state.pool
@@ -230,7 +216,9 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.sp_take = state.spurious_stream.take if lane.sp_p > 0 else None
 
     # Provider-log buffer (materialised into state.history after the loop).
-    lane.state = state
+    # The lane holds no reference to its state or platform, so a state that
+    # caches its lane (the generator loop's) forms no reference cycle.
+    lane.history = state.history
     lane.log = []
 
     lane.lane_idx = -1
@@ -254,7 +242,7 @@ def _flush_history(lanes: dict, retention: int | None) -> None:
         start = 0
         if retention is not None and len(log) > retention * _LOG_FIELDS:
             start = len(log) - retention * _LOG_FIELDS
-        append = lane.state.history.append
+        append = lane.history.append
         fname = lane.fname
         for i in range(start, len(log), _LOG_FIELDS):
             append(
@@ -289,10 +277,14 @@ def _replay(
     base = clock.now()
     retention = platform.simulation.log_retention
     history_cap = None if retention is None else retention * _HISTORY_SLACK * _LOG_FIELDS
-    provider = platform.provider
     apply_eviction = platform.eviction_policy.apply
+    # A platform that overrides sandbox acquisition (IaaS) keeps its own
+    # semantics: the loop calls the override per invocation instead of the
+    # inlined base path.
+    acquire = None
+    if type(platform)._acquire_container is not SimulatedPlatform._acquire_container:
+        acquire = platform._acquire_container
     observer = platform._observer
-    runtime_overhead_s = platform._runtime_overhead_s
     states = platform._state
 
     position_iter = iter(positions) if positions is not None else itertools.count()
@@ -307,8 +299,8 @@ def _replay(
     completions: list = []
     heappush = heapq.heappush
     heappop = heapq.heappop
-    isclose = math.isclose
-    ceil = math.ceil
+    step = invoke_step
+    upload = upload_time
     seq = 0
     last_submitted = 0.0
     last_finish = base
@@ -319,23 +311,7 @@ def _replay(
     record_mode = block is not None
     fold_mode = accumulator is not None
     if record_mode:
-        a_lane = block.lane.append
-        a_reqidx = block.request_index.append
-        a_sub = block.submitted_at.append
-        a_cold = block.cold.append
-        a_success = block.success.append
-        a_error = block.error.append
-        a_bt = block.benchmark_time_s.append
-        a_pt = block.provider_time_s.append
-        a_ct = block.client_time_s.append
-        a_ov = block.invocation_overhead_s.append
-        a_ci = block.cold_init_s.append
-        a_mu = block.memory_used_mb.append
-        a_bd = block.billed_duration_s.append
-        a_cc = block.compute_cost.append
-        a_http = block.via_http.append
-        a_cid = block.container_id.append
-        a_fin = block.finished_at.append
+        add_row = block.rows.append
 
     try:
         for request in requests:
@@ -382,23 +358,17 @@ def _replay(
             if lane is None:
                 lane = lanes[fname] = _build_lane(platform, fname)
                 if record_mode:
-                    lane.lane_idx = block.add_lane(
-                        LaneMeta(
-                            function_name=lane.fname,
-                            benchmark=lane.benchmark,
-                            provider=provider,
-                            memory_declared_mb=lane.memory_mb,
-                            output_bytes=lane.profile.output_bytes,
-                            statics=lane.statics,
-                        )
-                    )
+                    lane.lane_idx = block.add_lane(lane.meta)
                 elif fold_mode:
                     lane.slot = accumulator.slot(lane.fname)
 
+            # Before acquisition, as in the generator loop: a payload that
+            # cannot be encoded fails with no sandbox reserved.
+            payload_upload_s = upload(lane, request.payload, request.payload_bytes)
             in_flight = len(completions)
 
             # ---- sandbox acquisition (scalar: _acquire_container) --------
-            if lane.acquire is None:
+            if acquire is None:
                 evicted = apply_eviction(lane.pool, now)
                 if evicted:
                     dirty_lanes[lane] = None
@@ -446,7 +416,7 @@ def _replay(
             else:
                 # The override may evict internally; conservatively mark the
                 # lane dirty (pruning a clean pool is an O(1) no-op).
-                container, start_type = lane.acquire(lane.function, lane.state, now)
+                container, start_type = acquire(lane.function, states[lane.fname], now)
                 dirty_lanes[lane] = None
                 cold = start_type is _COLD
                 container_id = container.container_id
@@ -456,123 +426,15 @@ def _replay(
 
             concurrency = lane.in_flight + 1
 
-            # ---- compute sample (scalar: ComputeModel.execute) -----------
-            jit = lane.jit_conc if concurrency > 1 else lane.jit_solo
-            if jit is None:
-                compute_t = lane.compute_base
-            else:
-                compute_t = lane.compute_base * float(lane.c_lognormal(jit[0], jit[1]))
-            contention = lane.sto_random() < lane.contention_p
-            storage_t = storage_burst_time(lane, lane.sto_lognormal, contention) if lane.storage_bases else 0.0
-            benchmark_time = compute_t + storage_t
-            if cold:
-                cold_init_s = lane.cold_init_time(lane.profile, lane.memory_mb, lane.package_mb)
-            else:
-                cold_init_s = 0.0
-            memory_used = float(
-                max(1.0, lane.peak_memory_mb * max(0.85, lane.c_normal(loc=1.0, scale=0.03)))
-            )
-
-            # ---- reliability check (scalar: the reliability model's failure)
-            error = None
-            if memory_used > lane.oom_limit_mb:
-                error = "out-of-memory"
-            elif lane.sporadic_oom_p and lane.rel_take() < lane.sporadic_oom_p:
-                error = "out-of-memory"
-            else:
-                burst = lane.burst_p
-                if burst is not None and concurrency >= 10:
-                    if lane.rel_take() < (burst[1] if concurrency >= 50 else burst[0]):
-                        error = "unavailable"
-
-            # ---- gateway / payload / network (scalar: reserved-invocation)
+            # ---- the invocation itself (repro.simulator.step) -------------
             via_http = request.trigger is _HTTP
-            # Inlined LognormalBlock.take (gateway stream).
-            gw = lane.gw_block
-            gi = gw._i
-            gv = gw._values
-            if gi == len(gv):
-                gv = gw.refill()
-                gi = 0
-            gw._i = gi + 1
-            gateway = (lane.http_base if via_http else lane.sdk_base) * gv[gi]
-            payload_bytes = request.payload_bytes
-            if payload_bytes is not None:
-                payload_upload_s = payload_bytes / lane.payload_denom
-            elif request.payload:
-                payload_upload_s = payload_wire_bytes(request.payload) / lane.payload_denom
-            else:
-                payload_upload_s = lane.empty_upload
-            nb = lane.net_block
-            if nb is not None:
-                # Inlined ExponentialBlock.take ×2 (request, then response).
-                ni = nb._i
-                nv = nb._values
-                if ni == len(nv):
-                    nv = nb.refill()
-                    ni = 0
-                request_network_s = lane.req_base + nv[ni]
-                ni += 1
-                if ni == len(nv):
-                    nv = nb.refill()
-                    ni = 0
-                response_network_s = lane.resp_base + nv[ni]
-                nb._i = ni + 1
-            else:
-                request_network_s = lane.req_base + 0.0
-                response_network_s = lane.resp_base + 0.0
-
-            invocation_overhead_s = request_network_s + gateway + payload_upload_s + cold_init_s
-
-            if error is not None:
-                benchmark_time_s = 0.0
-                provider_time_s = runtime_overhead_s
-                success = False
-            else:
-                benchmark_time_s = benchmark_time
-                provider_time_s = benchmark_time_s + runtime_overhead_s
-                success = True
-
-            client_time_s = (
-                invocation_overhead_s
-                + provider_time_s
-                + lane.response_download_s
-                + response_network_s
-            )
-
-            if success and provider_time_s > lane.timeout_s:
-                success = False
-                error = "timeout"
-                provider_time_s = lane.timeout_s
-                client_time_s = invocation_overhead_s + provider_time_s + response_network_s
-
-            # ---- billing (scalar: CompiledBilling) ------------------------
-            # Inlined round_up(max(provider_time_s, min_billed), granularity):
-            # snap to the nearest multiple when within float tolerance, else
-            # round up — op-for-op repro.utils.units.round_up.
-            v = provider_time_s if provider_time_s > lane.min_billed else lane.min_billed
-            q = v / lane.granularity
-            nearest = round(q)
-            if isclose(q, nearest, rel_tol=1e-12, abs_tol=1e-12):
-                snapped = nearest * lane.granularity
-                if snapped >= v - 1e-9:
-                    billed_duration_s = snapped
-                else:
-                    billed_duration_s = ceil(q) * lane.granularity
-            else:
-                billed_duration_s = ceil(q) * lane.granularity
-            if lane.is_vm:
-                compute_cost = provider_time_s / 3600.0 * lane.vm_price
-            elif lane.bills_avg:
-                measured = max(memory_used, 1.0) + lane.mem_overhead
-                compute_cost = (
-                    billed_duration_s
-                    * (round_up(measured, lane.mem_gran) / 1024.0)
-                    * lane.gb_price
-                )
-            else:
-                compute_cost = billed_duration_s * lane.mem_gb_const * lane.gb_price
-            request_cost, storage_cost, egress_cost = lane.statics[(via_http, success)]
+            values = step(lane, cold, concurrency, via_http, payload_upload_s, None, None)
+            (
+                benchmark_time_s, provider_time_s, client_time_s, invocation_overhead_s,
+                cold_init_s, memory_used, billed_duration_s,
+                request_cost, compute_cost, storage_cost, egress_cost, error,
+            ) = values
+            success = error is None
             cost_total = request_cost + compute_cost + storage_cost + egress_cost
 
             # ---- completion bookkeeping ----------------------------------
@@ -611,23 +473,7 @@ def _replay(
 
             # ---- sink ----------------------------------------------------
             if record_mode:
-                a_lane(lane.lane_idx)
-                a_reqidx(request_index)
-                a_sub(now)
-                a_cold(cold)
-                a_success(success)
-                a_error(error)
-                a_bt(benchmark_time_s)
-                a_pt(provider_time_s)
-                a_ct(client_time_s)
-                a_ov(invocation_overhead_s)
-                a_ci(cold_init_s)
-                a_mu(memory_used)
-                a_bd(billed_duration_s)
-                a_cc(compute_cost)
-                a_http(via_http)
-                a_cid(container_id)
-                a_fin(finished_at)
+                add_row((lane.lane_idx, request_index, now, cold, container_id, values))
             elif fold_mode:
                 if accumulator.first_submitted is None:
                     accumulator.first_submitted = now
@@ -646,35 +492,9 @@ def _replay(
                     lane.client_buf = []
             else:
                 emit(
-                    InvocationRecord(
-                        function_name=lane.fname,
-                        benchmark=lane.benchmark,
-                        provider=provider,
-                        start_type=_COLD if cold else _WARM,
-                        success=success,
-                        benchmark_time_s=benchmark_time_s,
-                        provider_time_s=provider_time_s,
-                        client_time_s=client_time_s,
-                        invocation_overhead_s=invocation_overhead_s,
-                        cold_init_s=cold_init_s,
-                        memory_declared_mb=lane.memory_mb,
-                        memory_used_mb=memory_used,
-                        billed_duration_s=billed_duration_s,
-                        cost=CostBreakdown(
-                            request_cost=request_cost,
-                            compute_cost=compute_cost,
-                            storage_cost=storage_cost,
-                            egress_cost=egress_cost,
-                        ),
-                        output_bytes=lane.profile.output_bytes,
-                        container_id=container_id,
-                        submitted_at=now,
-                        started_at=now + invocation_overhead_s,
-                        finished_at=finished_at,
-                        error=error,
-                        outcome=_COMPLETED if success else _FAILED,
-                        admitted_at=now,
-                        request_index=request_index,
+                    invocation_record(
+                        lane.meta, _COLD if cold else _WARM, values, container_id,
+                        now, request_index, {}, lane.meta.output_bytes,
                     )
                 )
 

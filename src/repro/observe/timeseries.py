@@ -28,6 +28,7 @@ each worker builds its own :class:`TimeSeriesBuilder` from it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from ..config import InvocationOutcome, StartType
@@ -63,10 +64,24 @@ class TimeSeriesSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.window_s <= 0:
+        # Negated so a NaN width fails the check too.
+        if not self.window_s > 0:
             raise ConfigurationError("time-series window_s must be positive")
         if self.reservoir_capacity < 1:
             raise ConfigurationError("time-series reservoir_capacity must be at least 1")
+
+    @classmethod
+    def of(cls, timeseries) -> "TimeSeriesSpec":
+        """The spec a replay's ``timeseries=`` argument asks for: the spec
+        itself, or the default spec with a window width in seconds."""
+        if isinstance(timeseries, cls):
+            return timeseries
+        if isinstance(timeseries, bool) or not isinstance(timeseries, numbers.Real):
+            raise ConfigurationError(
+                "timeseries= takes a TimeSeriesSpec or a window width in seconds, "
+                f"not {timeseries!r}"
+            )
+        return cls(window_s=float(timeseries))
 
     def build(self) -> "TimeSeriesBuilder":
         return TimeSeriesBuilder(self)

@@ -43,8 +43,9 @@ from .snapshot import PlatformSnapshot
 #: Bumped whenever the checkpoint file or fingerprint layout changes, or
 #: the pickled layout of an outcome does (2: reservoirs defer their tags;
 #: 3: streaming accumulators pickle as row-form flat arrays; 4: trace
-#: outcomes carry one ``sink`` field).
-_FORMAT_VERSION = 4
+#: outcomes carry one ``sink`` field; 5: record-mode sinks keep one row of
+#: step values per invocation).
+_FORMAT_VERSION = 5
 
 _CHECKPOINT_NAME = re.compile(r"^shard_(\d{5})\.ckpt$")
 

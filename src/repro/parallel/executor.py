@@ -54,6 +54,7 @@ from typing import Callable, Iterable, Sequence
 from ..exceptions import CheckpointError, ConfigurationError
 from ..faas.invocation import InvocationRequest
 from ..observe.profile import ProfileBuilder
+from ..observe.timeseries import TimeSeriesSpec
 from ..utils.rng import RandomStreams
 from ..workload.engine import WorkloadEngine, WorkloadResult
 from ..workload.scenario import Scenario
@@ -137,7 +138,7 @@ def _replay_trace_shard(
         (index for index, _ in shard.requests) if isinstance(shard, TraceShard) else None
     )
     emit = series.observe_record if series is not None else None
-    # Columnar record shards ship the parallel arrays, not record objects;
+    # Columnar record shards ship the block's rows, not record objects;
     # the parent materialises after the merge.
     sink = engine.replay(requests, keep_records, positions=positions, emit=emit)
     return TraceShardOutcome(
@@ -257,17 +258,6 @@ def _execute(
         return [completed[shard.index] for shard in shards], None
 
 
-def _resolve_series_spec(timeseries):
-    """Normalise ``timeseries`` into a picklable spec (or ``None``)."""
-    if timeseries is None:
-        return None
-    from ..observe.timeseries import TimeSeriesSpec
-
-    if isinstance(timeseries, TimeSeriesSpec):
-        return timeseries
-    return TimeSeriesSpec(window_s=float(timeseries))
-
-
 def _merge_shard_series(spec, outcomes):
     """Fold shard-local builders into one, in shard-index order (exact)."""
     builder = spec.build()
@@ -317,7 +307,7 @@ def _run_sharded(
     if resume and checkpoint_dir is None:
         raise CheckpointError("resume=True requires a checkpoint_dir")
     wall_start = time.perf_counter()
-    spec = _resolve_series_spec(timeseries)
+    spec = None if timeseries is None else TimeSeriesSpec.of(timeseries)
     profiler = ProfileBuilder()
     with profiler.phase("plan"):
         backend = _resolve_backend(backend, workers)

@@ -1,8 +1,8 @@
 """Execution-duration model of a sandbox.
 
 Given a benchmark's :class:`~repro.benchmarks.base.WorkProfile`, a memory
-configuration and a provider performance profile, the compute model produces
-the three durations SeBS measures for every invocation:
+configuration and a provider performance profile, the compute model fixes
+the three quantities SeBS measures for every invocation:
 
 * **benchmark time** — CPU work scaled by the memory-proportional CPU share
   (plateauing at one vCPU, since the kernels are single-threaded) plus the
@@ -15,6 +15,11 @@ the three durations SeBS measures for every invocation:
 * **memory consumption** — the kernel's peak memory with a small amount of
   per-invocation noise (which is what makes borderline allocations fail
   occasionally on GCP).
+
+:meth:`ComputeModel.compile` turns the first into per-class constants;
+:func:`repro.simulator.step.invoke_step` draws all three per invocation
+from the model's stream, calling :meth:`ComputeModel.cold_init_time` for
+the second.
 """
 
 from __future__ import annotations
@@ -145,32 +150,20 @@ class ComputeModel:
             return 1.0
         return float(self._rng.lognormal(mean=params[0], sigma=params[1]))
 
-    def _compute_time(self, compiled: CompiledCompute, concurrent: bool) -> float:
+    def compute_time(self, profile: WorkProfile, memory_mb: int, concurrent: bool = False) -> float:
+        """CPU portion of the benchmark time under ``memory_mb``."""
+        compiled = self.compile(profile, memory_mb)
         return compiled.compute_base * self._jitter(compiled.jit_conc if concurrent else compiled.jit_solo)
 
-    def _storage_time(self, compiled: CompiledCompute) -> float:
+    def storage_time(self, profile: WorkProfile, memory_mb: int) -> float:
+        """Persistent-storage portion of the benchmark time."""
+        compiled = self.compile(profile, memory_mb)
         # A contention event (a co-located function saturating the server
         # NIC) is drawn once per invocation and applied to every transfer,
         # which is what turns long, storage-heavy invocations into stragglers.
         storage = self._storage_model
         contention = storage.draw_contention()
         return storage_burst_time(compiled, storage._rng.lognormal, contention)
-
-    def benchmark_time(self, compiled: CompiledCompute, concurrent: bool) -> float:
-        """Compute plus storage time of one invocation of ``compiled``'s class.
-
-        Draws the compute jitter, the contention event, then the transfer
-        jitters, in the order the columnar loop replays them.
-        """
-        return self._compute_time(compiled, concurrent) + self._storage_time(compiled)
-
-    def compute_time(self, profile: WorkProfile, memory_mb: int, concurrent: bool = False) -> float:
-        """CPU portion of the benchmark time under ``memory_mb``."""
-        return self._compute_time(self.compile(profile, memory_mb), concurrent)
-
-    def storage_time(self, profile: WorkProfile, memory_mb: int) -> float:
-        """Persistent-storage portion of the benchmark time."""
-        return self._storage_time(self.compile(profile, memory_mb))
 
     def cold_init_time(self, profile: WorkProfile, memory_mb: int, code_package_mb: float) -> float:
         """Cold-start latency: provisioning + package fetch + runtime init."""
@@ -185,8 +178,3 @@ class ComputeModel:
         if cold.erratic_probability > 0 and self._rng.random() < cold.erratic_probability:
             erratic = float(self._rng.exponential(cold.erratic_scale_s))
         return provisioning + package_fetch + runtime_init + penalty + erratic
-
-    def memory_used(self, profile: WorkProfile) -> float:
-        """Peak memory of one invocation with small measurement noise."""
-        noise = self._rng.normal(loc=1.0, scale=0.03)
-        return float(max(1.0, profile.peak_memory_mb * max(0.85, noise)))

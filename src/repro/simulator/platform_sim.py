@@ -36,7 +36,6 @@ from ..benchmarks.base import Benchmark, BenchmarkContext, InputSize, WorkProfil
 from ..benchmarks.registry import BenchmarkRegistry, default_registry
 from ..concurrency import build_function_throttle, create_retry_policy
 from ..config import (
-    DYNAMIC_MEMORY,
     FunctionConfig,
     InvocationOutcome,
     Language,
@@ -55,7 +54,7 @@ from ..faas.function import CodePackage, DeployedFunction
 from ..columnar.draws import install_draw_blocks
 from ..faults.plane import build_fault_state
 from ..resilience.breaker import CircuitBreaker
-from ..faas.invocation import InvocationRecord, InvocationRequest, payload_wire_bytes
+from ..faas.invocation import InvocationRecord, InvocationRequest
 from ..faas.platform import FaaSPlatform, LogQueryType
 from ..workload.engine import WorkloadEngine, WorkloadResult
 from ..workload.trace import WorkloadTrace
@@ -68,6 +67,7 @@ from .containers import Container, ContainerPool
 from .eviction import EvictionPolicy
 from .profiles import ProviderPerformanceProfile, profile_for
 from .reliability import CompiledReliability, ReliabilityModel
+from .step import invocation_record, invoke_step, upload_time
 
 #: Size of the UTF-8 encoding of an empty JSON payload (``b"{}"``) — the
 #: overwhelmingly common case on trace replays, special-cased to avoid a
@@ -100,8 +100,9 @@ class FunctionClass(NamedTuple):
     function: benchmark, input size, language, memory, package size,
     timeout and the storage and network profiles.  Each model compiles its
     part (:meth:`ComputeModel.compile`, :meth:`ReliabilityModel.compile`,
-    :meth:`BillingModel.compile`); the generator loop reads the parts per
-    invocation and the columnar loop copies their fields into its lanes.
+    :meth:`BillingModel.compile`); both replay loops copy their fields into
+    per-function lanes (:func:`repro.columnar.engine._build_lane`), which
+    :func:`repro.simulator.step.invoke_step` reads per invocation.
     """
 
     profile: WorkProfile
@@ -159,6 +160,9 @@ class _FunctionRuntimeState:
     input_size: InputSize = InputSize.SMALL
     history: deque[_LogEntry] = field(default_factory=deque)
     klass: FunctionClass | None = None
+    #: The generator loop's lane of this function (see
+    #: :func:`repro.columnar.engine._build_lane`); reset with ``klass``.
+    lane: Any = None
     #: Admission gate (:class:`repro.concurrency.FunctionThrottle`); ``None``
     #: when the overload model is disabled — the engine then admits
     #: unconditionally.
@@ -475,7 +479,7 @@ class SimulatedPlatform(FaaSPlatform):
         # all warm sandboxes (this is how SeBS enforces cold starts).
         state = self._runtime_state(fname)
         state.pool.evict_all()
-        state.klass = None
+        state.klass = state.lane = None
         return function
 
     def query_logs(self, fname: str, query: LogQueryType) -> list[float]:
@@ -493,7 +497,7 @@ class SimulatedPlatform(FaaSPlatform):
         """Select the input-size preset the simulator assumes for ``fname``."""
         state = self._runtime_state(fname)
         state.input_size = size
-        state.klass = None
+        state.klass = state.lane = None
 
     def warm_container_count(self, fname: str) -> int:
         """Number of currently warm sandboxes (after applying eviction)."""
@@ -777,12 +781,7 @@ class SimulatedPlatform(FaaSPlatform):
         if timeseries is not None:
             from ..observe.timeseries import TimeSeriesSpec
 
-            spec = (
-                timeseries
-                if isinstance(timeseries, TimeSeriesSpec)
-                else TimeSeriesSpec(window_s=float(timeseries))
-            )
-            builder = spec.build()
+            builder = TimeSeriesSpec.of(timeseries).build()
             if attach is None:
                 attach = builder
             else:
@@ -922,7 +921,7 @@ class SimulatedPlatform(FaaSPlatform):
             self._observer.on_container_evict(function.name, evicted, start_at, "policy")
         spurious = (
             self._spurious_probability > 0
-            and state.spurious_stream.random() < self._spurious_probability
+            and state.spurious_stream.take() < self._spurious_probability
         )
         if not spurious:
             # Reuse the most recently used warm sandbox with a free slot
@@ -1026,10 +1025,14 @@ class SimulatedPlatform(FaaSPlatform):
     ) -> InvocationRecord:
         """Simulate one invocation; leaves the sandbox *reserved*.
 
-        The caller owns the reservation and must release it once the
-        invocation no longer occupies its sandbox (immediately for
-        sequential calls, at the end of the burst for batches, at the
-        completion event for stream replay).
+        Acquires the sandbox, hands the invocation to
+        :func:`~repro.simulator.step.invoke_step` on the function's lane (in
+        kernel mode with the real kernel as its ``kernel`` hook) and builds
+        the record and the provider-log entry.  The caller owns the
+        reservation and must release it once the invocation no longer
+        occupies its sandbox (immediately for sequential calls, at the end
+        of the burst for batches, at the completion event for stream
+        replay).
 
         ``fault_scale`` is the active latency-storm multiplier pair
         ``(compute, network)`` from the fault plane (:mod:`repro.faults`),
@@ -1040,146 +1043,51 @@ class SimulatedPlatform(FaaSPlatform):
         state = self._state.get(fname)
         if state is None:
             state = self._runtime_state(fname)
-        klass = state.klass
-        if klass is None:
-            klass = self._class_of(function, state)
-        profile = klass.profile
-        overhead = klass.overhead
-        if payload_bytes is not None:
-            payload_upload_s = payload_bytes / overhead.payload_denom
-        elif payload:
-            # Measure the wire size of the request: UTF-8 encoded bytes, not
-            # unicode characters — matching _execute_kernel's output
-            # accounting.
-            payload_upload_s = payload_wire_bytes(payload) / overhead.payload_denom
-        else:
-            payload_upload_s = overhead.empty_upload
+        lane = state.lane
+        if lane is None:
+            from ..columnar.engine import _build_lane
+
+            lane = state.lane = _build_lane(self, fname)
+        payload_upload_s = upload_time(lane, payload, payload_bytes)
 
         container, start_type = self._acquire_container(function, state, start_at)
-        state.pool.reserve(container.container_id)
-        compute = state.compute
-        sampled_benchmark_time_s = compute.benchmark_time(klass.compute, concurrency > 1)
-        if start_type is StartType.COLD:
-            cold_init_s = compute.cold_init_time(profile, klass.memory_mb, klass.package_mb)
-        else:
-            cold_init_s = 0.0
-        memory_used_mb = compute.memory_used(profile)
-        failure_reason = state.reliability.failure(klass.reliability, memory_used_mb, concurrency)
+        container_id = container.container_id
+        state.pool.reserve(container_id)
 
-        output: dict = {}
-        output_bytes = profile.output_bytes
-        response_download_s = overhead.response_download_s
-        kernel_ran = bool(self.execute_kernels and payload and failure_reason is None)
-        if kernel_ran:
-            try:
-                output, output_bytes = self._execute_kernel(function, payload)
-            except BaseException:
-                # A raising kernel must not leave the sandbox reserved
-                # forever: the caller never sees a record to release.
-                # release() re-indexes a warm sandbox whose MRU entry was
-                # already consumed by the pick.
-                state.pool.release(container.container_id)
-                raise
-            # The kernel's real output replaces the profile's output size.
-            response_download_s = output_bytes / overhead.response_denom
+        kernel = None
+        ran: list = []
+        if self.execute_kernels and payload:
 
-        via_http = trigger is TriggerType.HTTP
-        gateway = (overhead.http_base if via_http else overhead.sdk_base) * state.gateway_stream.take()
-        request_network_s = state.network.one_way_delay("request")
-        response_network_s = state.network.one_way_delay("response")
+            def kernel() -> tuple[float, dict]:
+                try:
+                    output, output_bytes = self._execute_kernel(function, payload)
+                except BaseException:
+                    # The caller never sees a record to release; release()
+                    # re-indexes a warm sandbox whose MRU entry the pick
+                    # already consumed.
+                    state.pool.release(container_id)
+                    raise
+                ran.append((output, output_bytes))
+                # The real output replaces the profile's output size.
+                profile = lane.profile
+                requests = profile.storage_read_requests + profile.storage_write_requests
+                statics = self.billing.compile(lane.memory_mb, output_bytes, requests).statics
+                return output_bytes / lane.response_denom, statics
 
-        if fault_scale is not None:
-            # An active latency storm scales the already-drawn durations —
-            # compute work and sandbox init by the compute multiplier, every
-            # wire segment by the network multiplier.  Draw counts never
-            # change, so the streams stay aligned with a calm replay.
-            compute_scale, network_scale = fault_scale
-            sampled_benchmark_time_s *= compute_scale
-            cold_init_s *= compute_scale
-            gateway *= network_scale
-            payload_upload_s *= network_scale
-            response_download_s *= network_scale
-            request_network_s *= network_scale
-            response_network_s *= network_scale
-
-        # Overhead between submitting the request and the function starting.
-        invocation_overhead_s = request_network_s + gateway + payload_upload_s + cold_init_s
-
-        if failure_reason is not None:
-            benchmark_time_s = 0.0
-            provider_time_s = self._runtime_overhead_s
-            success = False
-        else:
-            benchmark_time_s = sampled_benchmark_time_s
-            provider_time_s = benchmark_time_s + self._runtime_overhead_s
-            success = True
-
-        client_time_s = invocation_overhead_s + provider_time_s + response_download_s + response_network_s
-
-        # Time-limit enforcement.
-        if success and provider_time_s > klass.timeout_s:
-            success = False
-            failure_reason = "timeout"
-            provider_time_s = klass.timeout_s
-            client_time_s = invocation_overhead_s + provider_time_s + response_network_s
-
-        billing = klass.billing
-        billed_duration_s = billing.billed_duration(provider_time_s)
-        if kernel_ran:
-            request_cost, storage_cost, egress_cost = self.billing._static_cost_components(
-                output_bytes if success else 0,
-                profile.storage_read_requests + profile.storage_write_requests,
-                via_http,
-            )
-        else:
-            request_cost, storage_cost, egress_cost = billing.statics[(via_http, success)]
-        cost = CostBreakdown(
-            request_cost=request_cost,
-            compute_cost=billing.compute_cost(provider_time_s, billed_duration_s, memory_used_mb),
-            storage_cost=storage_cost,
-            egress_cost=egress_cost,
+        values = invoke_step(
+            lane, start_type is StartType.COLD, concurrency, trigger is TriggerType.HTTP,
+            payload_upload_s, fault_scale, kernel,
         )
-
-        started_at = start_at + invocation_overhead_s
-        finished_at = start_at + client_time_s
-        container.serve(finished_at)
+        output, output_bytes = ran[0] if ran else ({}, lane.meta.output_bytes)
+        record = invocation_record(
+            lane.meta, start_type, values, container_id, start_at, request_index, output, output_bytes
+        )
+        container.serve(record.finished_at)
         state.pool.touch(container)
-
         state.history.append(
             _LogEntry(
-                function_name=fname,
-                provider_time_s=provider_time_s,
-                memory_used_mb=memory_used_mb,
-                cost_usd=cost.total,
-                start_type=start_type,
-                success=success,
-                timestamp=finished_at,
+                fname, record.provider_time_s, record.memory_used_mb, record.cost.total,
+                start_type, record.success, record.finished_at,
             )
         )
-
-        return InvocationRecord(
-            function_name=fname,
-            benchmark=function.benchmark,
-            provider=self.provider,
-            start_type=start_type,
-            success=success,
-            benchmark_time_s=benchmark_time_s,
-            provider_time_s=provider_time_s,
-            client_time_s=client_time_s,
-            invocation_overhead_s=invocation_overhead_s,
-            cold_init_s=cold_init_s,
-            memory_declared_mb=klass.memory_mb,
-            memory_used_mb=memory_used_mb,
-            billed_duration_s=billed_duration_s,
-            cost=cost,
-            output_bytes=output_bytes,
-            container_id=container.container_id,
-            submitted_at=start_at,
-            started_at=started_at,
-            finished_at=finished_at,
-            error=failure_reason,
-            output=output,
-            outcome=InvocationOutcome.COMPLETED if success else InvocationOutcome.FAILED,
-            admitted_at=start_at,
-            request_index=request_index,
-        )
+        return record

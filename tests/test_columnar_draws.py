@@ -4,11 +4,8 @@ The columnar engine rests on one numpy fact: a single vectorized
 ``Generator`` call with constant parameters consumes the underlying bit
 stream exactly like the same number of scalar calls and yields the
 identical float sequence.  These tests prove that fact property-based for
-each wrapped distribution, then prove the block wrappers preserve it —
-across batch boundaries (partial tails, ``k`` beyond ``BLOCK``), under
-interleaved scalar-shim fallbacks, and with loud rejection of mismatched
-shim parameters (a silent parameter drift would desynchronize the scalar
-and columnar paths).
+each wrapped distribution, then prove the block wrappers preserve it
+across batch boundaries (partial tails, ``k`` beyond ``BLOCK``).
 """
 
 from __future__ import annotations
@@ -16,13 +13,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import BLOCK, ExponentialBlock, LognormalBlock, UniformBlock
 from repro.columnar.draws import FIRST_BLOCK
-from repro.exceptions import ConfigurationError
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 # Around one block, around two blocks, and small tails.
@@ -114,42 +109,3 @@ class TestBlocksMatchScalarStreams:
             assert len(block._values) == sizes[batch], f"k={k}"
             assert block._i == k - (ends[batch] - sizes[batch]), f"k={k}"
             assert block._rng.random() == reference[ends[batch]], f"k={k}"
-
-
-# -------------------------------------------- interleaved scalar fallbacks
-
-
-class TestInterleavedShims:
-    """Scalar code paths hit the shim methods mid-replay (controlled
-    overload/fault loops, direct invokes); interleaving them with ``take``
-    must keep the one consumed stream in scalar order."""
-
-    @given(seed=seeds, pattern=st.lists(st.booleans(), min_size=1, max_size=3 * BLOCK))
-    @settings(deadline=None, max_examples=30)
-    def test_uniform_interleaving(self, seed, pattern):
-        block = UniformBlock(_gen(seed))
-        scalar_rng = _gen(seed)
-        for via_shim in pattern:
-            value = block.random() if via_shim else block.take()
-            assert value == scalar_rng.random()
-
-    @given(seed=seeds, pattern=st.lists(st.booleans(), min_size=1, max_size=3 * BLOCK))
-    @settings(deadline=None, max_examples=30)
-    def test_exponential_interleaving(self, seed, pattern):
-        block = ExponentialBlock(_gen(seed), 0.004)
-        scalar_rng = _gen(seed)
-        for via_shim in pattern:
-            value = block.exponential(0.004) if via_shim else block.take()
-            assert value == scalar_rng.exponential(0.004)
-
-
-# ------------------------------------------------------- parameter guards
-
-
-class TestShimParameterGuards:
-    def test_exponential_rejects_mismatched_scale(self):
-        block = ExponentialBlock(_gen(1), 0.004)
-        with pytest.raises(ConfigurationError):
-            block.exponential(0.005)
-        scalar_rng = _gen(1)
-        assert block.take() == scalar_rng.exponential(0.004)

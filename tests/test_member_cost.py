@@ -42,7 +42,7 @@ from repro.config import DYNAMIC_MEMORY, InvocationOutcome, Provider, Simulation
 from repro.experiments.base import deploy_benchmark
 from repro.simulator.compute import ComputeModel, storage_burst_time
 from repro.simulator.iaas import IaaSPlatform
-from repro.simulator.platform_sim import _EMPTY_PAYLOAD_BYTES, SimulatedPlatform
+from repro.simulator.platform_sim import _EMPTY_PAYLOAD_BYTES
 from repro.simulator.providers import create_platform
 from repro.stats.streaming import DEFAULT_RESERVOIR_CAPACITY, StreamingSummary
 from repro.storage.latency import StorageLatencyModel, StorageProfile
@@ -70,10 +70,6 @@ def _reference_constants(platform, fname: str) -> dict:
         "timeout_s": function.config.timeout_s,
         "peak_memory_mb": profile.peak_memory_mb,
     }
-    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
-        c["acquire"] = None
-    else:
-        c["acquire"] = platform._acquire_container
     share = compute.cpu_share(memory_mb)
     c["compute_base"] = profile.warm_compute_s * performance.compute_speed_factor / share
 
@@ -165,7 +161,7 @@ _MEMBERS = (
 #: Lane slots the function's class fixes: the compiled parts, and the
 #: class fields and platform constants ``_build_lane`` sets besides.
 _CLASS_LANE_SLOTS = set(_CLASS_SLOTS) | {
-    "memory_mb", "profile", "package_mb", "timeout_s", "peak_memory_mb", "acquire", "sp_p",
+    "memory_mb", "profile", "package_mb", "timeout_s", "peak_memory_mb", "sp_p",
 }
 
 
@@ -241,7 +237,7 @@ class TestLaneTemplates:
             assert set(reference) == _CLASS_LANE_SLOTS
             assert {slot: getattr(fresh, slot) for slot in reference} == reference
             compiled = _compiled_constants(platform._state[name].klass)
-            assert compiled == {k: v for k, v in reference.items() if k not in ("acquire", "sp_p")}
+            assert compiled == {k: v for k, v in reference.items() if k != "sp_p"}
         storage = platform._state["a"].compute.storage_model
         assert (storage.profile is platform.performance.storage) is not use_cloud_storage
 

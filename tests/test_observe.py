@@ -226,6 +226,26 @@ def test_timeseries_spec_validation():
         TimeSeriesSpec(reservoir_capacity=0)
 
 
+@pytest.mark.parametrize("workers", (None, 1), ids=("serial", "sharded"))
+@pytest.mark.parametrize(
+    "timeseries",
+    (
+        lambda: "abc",
+        lambda: TimeSeriesSpec(window_s=float("nan")),
+        lambda: float("nan"),
+        lambda: True,
+    ),
+    ids=("text", "nan-spec", "nan-width", "bool"),
+)
+def test_bad_timeseries_is_refused_before_the_replay(workers, timeseries):
+    """A malformed ``timeseries=`` fails with a ConfigurationError before
+    any invocation runs, on the serial and on the sharded path alike."""
+    platform = _platform()
+    with pytest.raises(ConfigurationError, match="window"):
+        platform.run_workload(_trace(), workers=workers, timeseries=timeseries())
+    assert all(not state.history for state in platform._state.values())
+
+
 def test_merge_rejects_mismatched_specs():
     narrow = TimeSeriesSpec(window_s=5.0).build()
     wide = TimeSeriesSpec(window_s=10.0).build()

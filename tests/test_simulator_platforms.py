@@ -378,3 +378,48 @@ class TestIaaS:
         assert kernel.client_time_s - modelled.client_time_s == pytest.approx(
             (kernel.output_bytes - modelled.output_bytes) / bandwidth, rel=1e-6
         )
+
+
+@pytest.mark.parametrize("loop", ("columnar", "generator"))
+def test_unencodable_payload_reserves_no_sandbox(loop):
+    """A payload whose JSON encoding fails raises before any sandbox is
+    reserved, on both replay loops."""
+    from repro.faas.invocation import InvocationRequest
+
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=1))
+    fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
+    requests = [
+        InvocationRequest(fname, submitted_at=0.0),
+        InvocationRequest(fname, payload={(1, 2): 3}, submitted_at=10.0),
+    ]
+    with pytest.raises(TypeError):
+        if loop == "columnar":
+            platform.run_workload(requests)
+        else:
+            list(platform.invoke_stream(requests))
+    assert platform._state[fname].pool._in_use == {}
+
+
+@pytest.mark.parametrize("provider", (Provider.AWS, Provider.IAAS))
+def test_invoked_platform_is_freed_without_the_cycle_collector(provider):
+    """The generator loop caches a lane on each runtime state; the lane must
+    not point back at its state or platform, or every invoked platform
+    would wait for the cyclic garbage collector."""
+    import gc
+    import weakref
+
+    if provider is Provider.IAAS:
+        platform = IaaSPlatform(SimulationConfig(seed=1))
+    else:
+        platform = create_platform(provider, SimulationConfig(seed=1))
+    fname = deploy_benchmark(platform, "dynamic-html", memory_mb=1024)
+    platform.invoke(fname, payload={})
+    refs = (weakref.ref(platform), weakref.ref(platform._state[fname]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del platform
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
