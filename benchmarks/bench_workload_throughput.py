@@ -97,14 +97,22 @@ def test_workload_engine_throughput_100k(benchmark, simulation_config):
     assert result.throughput_per_s > 10_000.0
 
 
+#: Replays per side in the columnar throughput target; each side's figure is
+#: its fastest replay.
+COLUMNAR_BEST_OF = 3
+
+
 def test_workload_columnar_throughput_100k(benchmark):
     """Columnar streaming replay of the 100k trace: >= 3x scalar, >= 90k/s.
 
-    The same trace is first replayed through the generator loop
+    The same trace is replayed through the generator loop
     (``WorkloadEngine.stream`` folded into a streaming accumulator) as the
     in-process reference — the speedup ratio is container-noise-robust in a
     way absolute figures are not — and the two streaming aggregates are
-    asserted identical before any throughput claim.  The measured figures
+    asserted identical before any throughput claim.  Each side is timed as
+    the best of ``COLUMNAR_BEST_OF`` replays on fresh platforms, the two
+    sides interleaved, so one noisy moment on a shared host cannot decide
+    either figure.  The measured figures
     land in ``BENCH_workload_throughput.json`` as a ``columnar`` block
     (plus a flat ``columnar_throughput_per_s`` for the regression gate).
     """
@@ -118,16 +126,24 @@ def test_workload_columnar_throughput_100k(benchmark):
         fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
         return platform, fname
 
-    platform_scalar, fname = build()
+    _, fname = build()
     duration_s = 1.02 * TRACE_INVOCATIONS / ARRIVAL_RATE_PER_S
     trace = WorkloadTrace.synthesize(
         fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=42
     )
     trace = WorkloadTrace(list(trace)[:TRACE_INVOCATIONS])
 
-    scalar = generator_loop(platform_scalar, trace, keep_records=False)
-    platform_columnar, _ = build()
-    result = run_once(benchmark, lambda: platform_columnar.run_workload(trace, keep_records=False))
+    def fastest(best, run):
+        return run if best is None or run.wall_clock_s < best.wall_clock_s else best
+
+    def interleaved():
+        scalar = columnar = None
+        for _ in range(COLUMNAR_BEST_OF):
+            scalar = fastest(scalar, generator_loop(build()[0], trace, keep_records=False))
+            columnar = fastest(columnar, build()[0].run_workload(trace, keep_records=False))
+        return scalar, columnar
+
+    scalar, result = run_once(benchmark, interleaved)
 
     # Bit-identity of the streaming aggregates (counters, sums, reservoir
     # percentile state) before any throughput claim.

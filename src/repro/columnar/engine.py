@@ -3,14 +3,17 @@
 One flat loop runs every batch replay
 :meth:`~repro.workload.engine.WorkloadEngine.replay` can hand it: no
 overload admission, no fault plane, no client resilience, no kernel
-execution.  Sandbox acquisition and release, the completion heap, the
-provider log and the sinks are inlined against the pool's internal
-structures; the invocation itself — draws, reliability gates, delays and
-billing — is :func:`repro.simulator.step.invoke_step`, the step the
-generator loop (:meth:`~repro.workload.engine.WorkloadEngine.stream`)
-calls too.  Everything a record shares with its function — CPU share,
-jitter parameters, storage transfer bases, billing constants, reliability
-gates — is compiled by the models themselves once per function *class*
+execution.  The completion heap, the provider log, the sinks and the
+acquisition order (eviction apply, spurious cold start, pick or create) are
+inlined; every pool operation is a
+:class:`~repro.simulator.containers.ContainerPool` method, the same calls
+the generator loop makes.  The invocation itself — draws, reliability
+gates, delays and billing — is :func:`repro.simulator.step.invoke_step`,
+the step the generator loop
+(:meth:`~repro.workload.engine.WorkloadEngine.stream`) calls too.
+Everything a record shares with its function — CPU share, jitter
+parameters, storage transfer bases, billing constants, reliability gates —
+is compiled by the models themselves once per function *class*
 (:class:`~repro.simulator.platform_sim.FunctionClass`, cached on the
 platform) and copied into each function's :class:`_Lane` (see
 :func:`_build_lane`), which both loops hand to the step.
@@ -39,8 +42,7 @@ Three sink modes share the loop:
   (:meth:`~repro.workload.engine._ReplayAccumulator.add_many`) without ever
   creating a record (``keep_records=False``);
 * **emit** — an attached observer needs the record object and its hooks in
-  stream order, so records are built inline and handed to a callback (the
-  loop still wins the inlined pool operations).
+  stream order, so records are built inline and handed to a callback.
 
 Provider-log entries are buffered as arrays and materialised into
 ``state.history`` once, after the loop (bounded by ``log_retention``).
@@ -56,20 +58,16 @@ from ..config import StartType, TriggerType
 from ..exceptions import ConfigurationError
 from ..faas.billing import CompiledBilling
 from ..simulator.compute import CompiledCompute
-from ..simulator.containers import Container, ContainerState
+from ..simulator.containers import Container
 from ..simulator.platform_sim import CompiledOverhead, SimulatedPlatform, _LogEntry
 from ..simulator.reliability import CompiledReliability
 from ..simulator.step import invocation_record, invoke_step, upload_time
-from ..workload.engine import _PRUNE_INTERVAL, _ReplayAccumulator
+from ..workload.engine import _ReplayAccumulator
 from .records import ColumnarRecordBlock, LaneMeta
 
 _HTTP = TriggerType.HTTP
 _COLD = StartType.COLD
 _WARM = StartType.WARM
-_CS_WARM = ContainerState.WARM
-#: ``Container.is_warm`` as a membership test, hoisted for the inlined
-#: pool operations (pick / release re-offer).
-_LIVE = (ContainerState.WARM, ContainerState.BUSY)
 
 #: Streaming-fold flush threshold: client-time / cost buffers fold into the
 #: accumulator row in batches of this size (element order inside a
@@ -110,18 +108,8 @@ class _Lane:
         # what every record of the function shares (see invocation_record)
         "meta",
         "sp_p",
-        # pool / container plumbing.  The pick / reserve / finish-serve /
-        # release operations are inlined in the loop against the pool's
-        # internal structures: ``heap`` (the per-version MRU heap list),
-        # ``entry_lua`` and ``in_use`` are never rebound for the pool's
-        # lifetime; ``index`` IS rebound by ``prune()`` and is refreshed
-        # after every prune interval.
+        # the function's sandbox pool and its in-flight executions
         "pool",
-        "heap",
-        "entry_lua",
-        "in_use",
-        "index",
-        "cap",
         "in_flight",
         # compute stream (scalar draws)
         "c_lognormal",
@@ -188,15 +176,7 @@ def _build_lane(platform, fname: str) -> _Lane:
     )
     lane.sp_p = platform._spurious_probability
 
-    pool = state.pool
-    lane.pool = pool
-    # ``setdefault`` so the lane owns the very list ``_push`` would use; an
-    # empty heap entry for the version is what the first push would create.
-    lane.heap = pool._mru.setdefault(function.version, [])
-    lane.entry_lua = pool._entry_lua
-    lane.in_use = pool._in_use
-    lane.index = pool._index
-    lane.cap = pool.slot_capacity
+    lane.pool = state.pool
     lane.in_flight = 0
 
     # Compute stream: the heterogeneous scalar stream (see module docstring).
@@ -290,12 +270,6 @@ def _replay(
     position_iter = iter(positions) if positions is not None else itertools.count()
 
     lanes: dict[str, _Lane] = {}
-    #: Lanes whose pool saw an eviction since the last prune interval (dict
-    #: used as an ordered set).  Pruning only these keeps the interval cost
-    #: O(dirty) instead of O(deployed functions) — the difference between
-    #: minutes and hours on million-function populations.
-    dirty_lanes: dict[_Lane, None] = {}
-    swept = False
     completions: list = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -304,7 +278,6 @@ def _replay(
     seq = 0
     last_submitted = 0.0
     last_finish = base
-    processed = 0
     peak = 0
     engine.last_peak_in_flight = 0
 
@@ -326,27 +299,9 @@ def _replay(
             now = base + submitted
 
             while completions and completions[0][0] <= now:
-                # Inlined ContainerPool.release: drop the in-flight count,
-                # re-offer the sandbox (push + entry_lua) if it freed up.
                 done = heappop(completions)
                 done_lane = done[2]
-                cid = done[3]
-                in_use = done_lane.in_use
-                remaining = in_use.get(cid, 0) - 1
-                if remaining > 0:
-                    in_use[cid] = remaining
-                else:
-                    in_use.pop(cid, None)
-                entry = done_lane.index.get(cid)
-                if entry is not None:
-                    cont = entry[1]
-                    if (
-                        cont.state in _LIVE
-                        and in_use.get(cid, 0) < done_lane.cap
-                        and done_lane.entry_lua.get(cid) != cont.last_used_at
-                    ):
-                        heappush(done_lane.heap, (-cont.last_used_at, entry[0], cont))
-                        done_lane.entry_lua[cid] = cont.last_used_at
+                done_lane.pool.release(done[3])
                 done_lane.in_flight -= 1
 
             # Monotone by the sort check above: a plain store matches
@@ -368,61 +323,32 @@ def _replay(
             in_flight = len(completions)
 
             # ---- sandbox acquisition (scalar: _acquire_container) --------
+            pool = lane.pool
             if acquire is None:
-                evicted = apply_eviction(lane.pool, now)
-                if evicted:
-                    dirty_lanes[lane] = None
-                    if observer is not None:
-                        observer.on_container_evict(lane.fname, evicted, now, "policy")
+                evicted = apply_eviction(pool, now)
+                if evicted and observer is not None:
+                    observer.on_container_evict(lane.fname, evicted, now, "policy")
                 container = None
                 sp_take = lane.sp_take
                 if sp_take is None or sp_take() >= lane.sp_p:
-                    # Inlined ContainerPool.pick_mru: pop stale heap entries
-                    # (superseded, dead or saturated) until a live one
-                    # surfaces; consume its entry_lua record.
-                    mru = lane.heap
-                    entry_lua = lane.entry_lua
-                    in_use = lane.in_use
-                    cap = lane.cap
-                    while mru:
-                        top = mru[0]
-                        heappop(mru)
-                        cand = top[2]
-                        cid = cand.container_id
-                        if entry_lua.get(cid) != -top[0]:
-                            continue
-                        if cand.state not in _LIVE or in_use.get(cid, 0) >= cap:
-                            entry_lua.pop(cid, None)
-                            continue
-                        entry_lua.pop(cid, None)
-                        container = cand
-                        break
-                if container is None:
-                    cold = True
-                    container_id = lane.pool.next_container_id()
+                    container = pool.pick_mru(lane.version)
+                cold = container is None
+                if cold:
                     container = Container(
                         function_name=lane.fname,
                         function_version=lane.version,
                         memory_mb=lane.memory_mb,
                         created_at=now,
-                        container_id=container_id,
+                        container_id=pool.next_container_id(),
                     )
-                    lane.pool.add(container)
+                    pool.add(container)
                     if observer is not None:
-                        observer.on_container_create(lane.fname, container_id, now)
-                else:
-                    cold = False
-                    container_id = container.container_id
+                        observer.on_container_create(lane.fname, container.container_id, now)
             else:
-                # The override may evict internally; conservatively mark the
-                # lane dirty (pruning a clean pool is an O(1) no-op).
                 container, start_type = acquire(lane.function, states[lane.fname], now)
-                dirty_lanes[lane] = None
                 cold = start_type is _COLD
-                container_id = container.container_id
-            # Inlined ContainerPool.reserve.
-            in_use = lane.in_use
-            in_use[container_id] = in_use.get(container_id, 0) + 1
+            container_id = container.container_id
+            pool.reserve(container_id)
 
             concurrency = lane.in_flight + 1
 
@@ -439,22 +365,7 @@ def _replay(
 
             # ---- completion bookkeeping ----------------------------------
             finished_at = now + client_time_s
-            # Inlined Container.serve + ContainerPool.touch.  The
-            # EVICTED guard is provably dead here: the policy ran before
-            # this container was picked or created in this very iteration.
-            container.invocations += 1
-            if finished_at > container.last_used_at:
-                container.last_used_at = finished_at
-            container.state = _CS_WARM
-            if lane.in_use.get(container_id, 0) < lane.cap:
-                entry = lane.index.get(container_id)
-                if entry is not None:
-                    heappush(
-                        lane.heap, (-container.last_used_at, entry[0], container)
-                    )
-                    lane.entry_lua[container_id] = container.last_used_at
-            else:
-                lane.entry_lua.pop(container_id, None)
+            pool.serve(container, finished_at)
             heappush(completions, (finished_at, seq, lane, container_id))
             seq += 1
             lane.in_flight = concurrency
@@ -497,25 +408,6 @@ def _replay(
                         now, request_index, {}, lane.meta.output_bytes,
                     )
                 )
-
-            processed += 1
-            if processed % _PRUNE_INTERVAL == 0:
-                # prune() rebinds pool._index; refresh the lane caches of
-                # every pruned pool.  The first interval sweeps every state
-                # (clearing any evictions that predate this loop, exactly as
-                # the scalar engine's full _prune_pools pass would); after
-                # that only lanes evicted-from inside this loop can be dirty.
-                if swept:
-                    for dirty_lane in dirty_lanes:
-                        dirty_lane.pool.prune()
-                        dirty_lane.index = dirty_lane.pool._index
-                else:
-                    swept = True
-                    for state in states.values():
-                        state.pool.prune()
-                    for pruned_lane in lanes.values():
-                        pruned_lane.index = pruned_lane.pool._index
-                dirty_lanes.clear()
 
         if last_finish > clock.now():
             clock.advance_to(last_finish)

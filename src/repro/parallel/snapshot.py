@@ -1,7 +1,7 @@
 """Platform snapshots: rebuild an identical deployment inside a worker.
 
 Sharded replay cannot ship a live :class:`~repro.simulator.platform_sim.SimulatedPlatform`
-to a worker process — it holds generators, heaps and weak maps mid-state.
+to a worker process — it holds generators and heaps mid-state.
 What it *can* ship is the recipe: the platform class, the simulation
 configuration, the clock position and the deployed functions' packages and
 configurations.  Because every per-function random stream is derived from

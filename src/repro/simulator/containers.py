@@ -7,31 +7,40 @@ how many invocations it has handled — and a :class:`ContainerPool` per
 function holding the warm sandboxes the scheduler can reuse.  The eviction
 experiment (Section 6.5) observes exactly this population.
 
-The pool is *indexed* so the invocation hot path never scans it:
+The pool is the one home of every sandbox operation both replay loops
+perform — :meth:`~ContainerPool.pick_mru`, :meth:`~ContainerPool.reserve`,
+:meth:`~ContainerPool.serve` and :meth:`~ContainerPool.release` — and the
+only code that reads or writes its index structures.  It is *indexed* so the
+invocation hot path never scans it:
 
 * a per-version **MRU heap** keyed by ``(-last_used_at, insertion order)``
-  answers "most recently used warm sandbox" in O(log n)
-  (:meth:`ContainerPool.pick_mru`), with at most one live heap entry per
-  container and lazy invalidation of stale entries;
-* an **occupancy multiset** (:meth:`reserve` / :meth:`release`) tracks how
-  many in-flight executions each sandbox is hosting, so busy-set exclusion
-  is an O(1) counter comparison instead of a list membership test
+  answers "most recently used warm sandbox" in O(log n), with at most one
+  live heap entry per container and lazy invalidation of stale entries;
+* an **occupancy multiset** (:meth:`~ContainerPool.reserve` /
+  :meth:`~ContainerPool.release`) tracks how many in-flight executions each
+  sandbox is hosting, so busy-set exclusion is an O(1) counter comparison
   (``slot_capacity`` > 1 models Azure's function-app instance sharing);
 * an append-only **creation log** lets eviction policies ingest new
   sandboxes incrementally instead of re-scanning the pool
-  (:attr:`creation_log`).
+  (:attr:`~ContainerPool.creation_log`); the policy keeps its per-pool
+  state on the pool itself (:attr:`~ContainerPool.eviction_state`).
 
-The classic scan-based accessors (:meth:`warm_containers`,
-:meth:`warm_count`) remain for slow paths — tests, reporting, and the
-reference scheduling semantics used by the equivalence suite.
+Evicted sandboxes are dropped from the index by :meth:`~ContainerPool.prune`,
+which the pool runs itself once they outnumber the rest, so its bookkeeping
+stays O(live sandboxes) at amortised O(1) per eviction.  Pruning changes no
+simulated output: every reader filters on liveness.
+
+The classic scan-based accessors (:meth:`~ContainerPool.warm_containers`,
+:meth:`~ContainerPool.warm_count`) remain for slow paths — tests, reporting,
+and the reference scheduling semantics used by the equivalence suite.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterator
 
 from ..exceptions import PlatformError
@@ -45,6 +54,12 @@ class ContainerState(str, enum.Enum):
     BUSY = "busy"
     EVICTED = "evicted"
 
+
+# Hoisted: an enum member lookup costs a class attribute access per use.
+# ``_LIVE`` is the state test of ``Container.is_warm``.
+_WARM = ContainerState.WARM
+_EVICTED = ContainerState.EVICTED
+_LIVE = (ContainerState.WARM, ContainerState.BUSY)
 
 _container_ids = itertools.count(1)
 
@@ -66,25 +81,17 @@ class Container:
         self.last_used_at = max(self.last_used_at, self.created_at)
 
     def mark_warm(self, timestamp: float) -> None:
-        if self.state is ContainerState.EVICTED:
+        if self.state is _EVICTED:
             raise PlatformError("cannot warm an evicted container")
-        self.state = ContainerState.WARM
+        self.state = _WARM
         self.last_used_at = max(self.last_used_at, timestamp)
-
-    def serve(self, timestamp: float) -> None:
-        """Record that the container served an invocation at ``timestamp``."""
-        if self.state is ContainerState.EVICTED:
-            raise PlatformError("cannot invoke an evicted container")
-        self.invocations += 1
-        self.last_used_at = max(self.last_used_at, timestamp)
-        self.state = ContainerState.WARM
 
     def evict(self) -> None:
-        self.state = ContainerState.EVICTED
+        self.state = _EVICTED
 
     @property
     def is_warm(self) -> bool:
-        return self.state in (ContainerState.WARM, ContainerState.BUSY)
+        return self.state in _LIVE
 
     def uptime(self, now: float) -> float:
         return max(0.0, now - self.created_at)
@@ -111,6 +118,11 @@ class ContainerPool:
         #: a cursor into it so they only ever look at *new* containers.  Plain
         #: attribute (not a property) — it sits on the per-invocation path.
         self.creation_log: list[Container] = []
+        #: The eviction policy's per-pool state (cursor, deadline heap,
+        #: timeout draws; see :mod:`repro.simulator.eviction`), created by
+        #: the policy on first use.  It lives and dies with the pool, so a
+        #: redeployed function starts from a fresh one.
+        self.eviction_state = None
         self._seq = itertools.count()
         #: container_id -> (insertion seq, container); evicted entries are
         #: dropped by prune().
@@ -125,11 +137,8 @@ class ContainerPool:
         self._entry_lua: dict[str, float] = {}
         #: Per-pool sandbox id counter (see :meth:`next_container_id`).
         self._id_counter = itertools.count(1)
-        #: Set by :meth:`evict` / :meth:`evict_all`, cleared by :meth:`prune`.
-        #: A clean pool's prune would rebuild identical structures, so the
-        #: flag lets replay loops prune thousands of pools per interval at
-        #: O(dirty) instead of O(pools) cost.
-        self._needs_prune = False
+        #: Evicted sandboxes :meth:`prune` has not dropped yet.
+        self._dead = 0
 
     def next_container_id(self) -> str:
         """Mint a pool-scoped sandbox id, e.g. ``thumbnails-c00000007``.
@@ -151,33 +160,40 @@ class ContainerPool:
         if container.function_name != self.function_name:
             raise PlatformError("container belongs to a different function")
         seq = next(self._seq)
+        cid = container.container_id
         self._containers.append(container)
         self.creation_log.append(container)
-        self._index[container.container_id] = (seq, container)
-        if container.is_warm:
-            self._push(container)
-
-    def _push(self, container: Container) -> None:
-        entry = self._index.get(container.container_id)
-        if entry is None:
-            return
-        seq, _ = entry
+        self._index[cid] = (seq, container)
+        # Heaps are never dropped, so serve() and release() find the heap
+        # of every sandbox the pool holds.
         heap = self._mru.setdefault(container.function_version, [])
-        heapq.heappush(heap, (-container.last_used_at, seq, container))
-        self._entry_lua[container.container_id] = container.last_used_at
+        if container.state in _LIVE:
+            heappush(heap, (-container.last_used_at, seq, container))
+            self._entry_lua[cid] = container.last_used_at
 
-    def touch(self, container: Container) -> None:
-        """Re-index ``container`` after its ``last_used_at`` changed.
+    def serve(self, container: Container, finished_at: float) -> None:
+        """Record that ``container`` served an invocation finishing at ``finished_at``.
 
-        Called by the platform after :meth:`Container.serve`.  While the
-        sandbox is saturated (``in_use >= slot_capacity``) no entry is kept —
-        :meth:`release` re-inserts it the moment a slot frees up.
+        The sandbox turns warm and is re-offered at its new last-use time —
+        unless it is saturated (``in_use >= slot_capacity``), in which case
+        no entry is kept and :meth:`release` re-inserts it the moment a slot
+        frees up.
         """
+        if container.state is _EVICTED:
+            raise PlatformError("cannot invoke an evicted container")
+        container.invocations += 1
+        if finished_at > container.last_used_at:
+            container.last_used_at = finished_at
+        container.state = _WARM
         cid = container.container_id
-        if container.is_warm and self._in_use.get(cid, 0) < self.slot_capacity:
-            self._push(container)
-        else:
+        if self._in_use.get(cid, 0) >= self.slot_capacity:
             self._entry_lua.pop(cid, None)
+            return
+        entry = self._index.get(cid)
+        if entry is not None:
+            lua = container.last_used_at
+            heappush(self._mru[container.function_version], (-lua, entry[0], container))
+            self._entry_lua[cid] = lua
 
     def reserve(self, container_id: str) -> None:
         """Count one more in-flight execution on ``container_id``."""
@@ -185,21 +201,25 @@ class ContainerPool:
 
     def release(self, container_id: str) -> None:
         """Drop one in-flight execution; re-offer the sandbox if it frees up."""
-        remaining = self._in_use.get(container_id, 0) - 1
+        in_use = self._in_use
+        remaining = in_use.get(container_id, 0) - 1
         if remaining > 0:
-            self._in_use[container_id] = remaining
+            in_use[container_id] = remaining
         else:
-            self._in_use.pop(container_id, None)
+            remaining = 0
+            in_use.pop(container_id, None)
         entry = self._index.get(container_id)
         if entry is None:
             return
-        _, container = entry
+        container = entry[1]
+        lua = container.last_used_at
         if (
-            container.is_warm
-            and self._in_use.get(container_id, 0) < self.slot_capacity
-            and self._entry_lua.get(container_id) != container.last_used_at
+            container.state in _LIVE
+            and remaining < self.slot_capacity
+            and self._entry_lua.get(container_id) != lua
         ):
-            self._push(container)
+            heappush(self._mru[container.function_version], (-lua, entry[0], container))
+            self._entry_lua[container_id] = lua
 
     def in_use_count(self, container_id: str) -> int:
         """In-flight executions currently hosted by ``container_id``."""
@@ -210,8 +230,8 @@ class ContainerPool:
 
         O(log n) amortized: stale heap entries (evicted, re-used at a newer
         timestamp, or saturated) are discarded as they surface.  The returned
-        container's index entry is consumed — the caller reserves it and the
-        post-invocation :meth:`touch` re-inserts it.
+        container's index entry is consumed — the caller reserves it and
+        :meth:`serve` re-inserts it.
 
         Ties on ``last_used_at`` resolve to the earliest-created sandbox,
         matching a linear ``max()`` scan over the pool in insertion order.
@@ -219,21 +239,17 @@ class ContainerPool:
         heap = self._mru.get(version)
         if not heap:
             return None
-        capacity = self.slot_capacity
+        entry_lua = self._entry_lua
         while heap:
-            neg_lua, seq, container = heap[0]
-            heapq.heappop(heap)
+            neg_lua, _, container = heappop(heap)
             cid = container.container_id
-            live = self._entry_lua.get(cid) == -neg_lua
-            if not live:
+            if entry_lua.get(cid) != -neg_lua:
                 continue  # superseded by a newer entry for the same sandbox
-            if not container.is_warm or self._in_use.get(cid, 0) >= capacity:
-                # Dead or saturated: forget the entry; touch()/release()
-                # will re-index the sandbox if it becomes offerable again.
-                self._entry_lua.pop(cid, None)
-                continue
-            self._entry_lua.pop(cid, None)
-            return container
+            # Consumed either way: a dead or saturated sandbox is re-indexed
+            # by serve()/release() if it becomes offerable again.
+            del entry_lua[cid]
+            if container.state in _LIVE and self._in_use.get(cid, 0) < self.slot_capacity:
+                return container
         return None
 
     # -------------------------------------------------------------- queries
@@ -255,24 +271,33 @@ class ContainerPool:
         return len(self.creation_log)
 
     def evict_all(self) -> int:
-        """Evict every warm container; returns how many were evicted."""
+        """Evict every warm container; returns how many were evicted.
+
+        Sandboxes evicted earlier are pruned first, so a function that is
+        updated over and over keeps one generation of dead sandboxes at most.
+        """
+        if self._dead:
+            self.prune()
         evicted = 0
         for container in self._containers:
-            if container.is_warm:
+            if container.state in _LIVE:
                 container.evict()
                 evicted += 1
-        self._mru.clear()
+        for heap in self._mru.values():
+            heap.clear()
         self._entry_lua.clear()
-        if evicted:
-            self._needs_prune = True
+        self._dead += evicted
         return evicted
 
     def evict(self, containers: list[Container]) -> None:
+        """Evict ``containers``; prune once the dead outnumber the rest."""
+        entry_lua = self._entry_lua
         for container in containers:
             container.evict()
-            self._entry_lua.pop(container.container_id, None)
-        if containers:
-            self._needs_prune = True
+            entry_lua.pop(container.container_id, None)
+        self._dead += len(containers)
+        if 2 * self._dead > len(self._containers):
+            self.prune()
 
     def prune(self) -> None:
         """Drop evicted containers from the bookkeeping structures.
@@ -281,13 +306,11 @@ class ContainerPool:
         into it, and its memory cost is bounded by the number of cold starts,
         not the number of invocations.
         """
-        if not self._needs_prune:
+        if not self._dead:
             return
-        self._needs_prune = False
-        self._containers = [c for c in self._containers if c.state is not ContainerState.EVICTED]
-        self._index = {
-            cid: entry for cid, entry in self._index.items() if entry[1].state is not ContainerState.EVICTED
-        }
+        self._dead = 0
+        self._containers = [c for c in self._containers if c.state is not _EVICTED]
+        self._index = {cid: entry for cid, entry in self._index.items() if entry[1].state is not _EVICTED}
 
     def __iter__(self) -> Iterator[Container]:
         return iter(self._containers)

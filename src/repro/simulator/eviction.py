@@ -19,6 +19,12 @@ scan.  New sandboxes are discovered through the pool's append-only
 :attr:`~repro.simulator.containers.ContainerPool.creation_log`, so ingestion
 is O(new containers), not O(pool).
 
+A policy object holds only its parameters.  Everything it learns about one
+function — creation-log cursor, deadline heap, eviction counts, timeout
+draws and their generator — lives on that function's pool
+(:attr:`~repro.simulator.containers.ContainerPool.eviction_state`), so it
+dies with the pool and a redeployed function starts from scratch.
+
 The scan-based reference semantics (select every victim by scanning the
 warm pool on each request) live in ``tests/test_scheduler_equivalence.py``,
 which replays identical traces through both and asserts bit-identical
@@ -29,8 +35,6 @@ from __future__ import annotations
 
 import abc
 import heapq
-import itertools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +49,24 @@ AWS_EVICTION_PERIOD_S = 380.0
 class EvictionPolicy(abc.ABC):
     """Decides which warm containers a provider has evicted by ``now``."""
 
+    #: Type of the per-pool state the policy keeps in ``pool.eviction_state``.
+    _tracker_type: type
+
     @abc.abstractmethod
     def apply(self, pool: ContainerPool, now: float) -> int:
         """Evict the containers that are gone by ``now``; return how many."""
 
+    def _tracker(self, pool: ContainerPool):
+        """The policy's state for ``pool``, created on first use."""
+        tracker = pool.eviction_state
+        if tracker is None:
+            tracker = pool.eviction_state = self._tracker_type()
+        return tracker
+
 
 @dataclass
 class _HalfLifeTracker:
-    """Per-function incremental state of the half-life policy."""
+    """Per-pool incremental state of the half-life policy."""
 
     cursor: int = 0
     #: batch period -> still-tracked members (possibly already evicted
@@ -62,6 +76,16 @@ class _HalfLifeTracker:
     #: entries with a different deadline are stale duplicates and skipped.
     scheduled: dict[int, float] = field(default_factory=dict)
     heap: list[tuple[float, int]] = field(default_factory=list)
+    #: batch period -> sandboxes this policy evicted from the batch.  The
+    #: survivor count must be computed from the batch's full population
+    #: (still warm + evicted by this policy), not from whatever is still
+    #: warm — otherwise repeated lazy applications (every scheduling
+    #: decision reapplies the policy) would halve the survivors again on
+    #: every call instead of once per period.  Counting our own evictions
+    #: rather than remembering the peak size also keeps the model correct
+    #: when sandboxes disappear for other reasons (``update_function``
+    #: invalidating all warm containers).
+    evicted_counts: dict[int, int] = field(default_factory=dict)
 
 
 class HalfLifeEvictionPolicy(EvictionPolicy):
@@ -73,28 +97,12 @@ class HalfLifeEvictionPolicy(EvictionPolicy):
     creation batch, which realises the paper's ``D_init * 2^-p`` model.
     """
 
+    _tracker_type = _HalfLifeTracker
+
     def __init__(self, period_s: float = AWS_EVICTION_PERIOD_S):
         if period_s <= 0:
             raise ConfigurationError("eviction period must be positive")
         self.period_s = period_s
-        # Containers this policy evicted from each creation batch, keyed by
-        # (function, batch period).  The survivor count must be computed from
-        # the batch's full population (still warm + evicted by this policy),
-        # not from whatever is still warm — otherwise repeated lazy
-        # applications (every scheduling decision reapplies the policy) would
-        # halve the survivors again on every call instead of once per period.
-        # Counting our own evictions rather than remembering the peak size
-        # also keeps the model correct when sandboxes disappear for other
-        # reasons (``update_function`` invalidating all warm containers).
-        self._evicted_counts: dict[tuple[str, int], int] = {}
-        # Keyed by pool *identity* (ContainerPool hashes by identity), not
-        # function name: delete_function + create_function reuses the name
-        # with a fresh pool, whose creation log must be ingested from zero.
-        # Weak keys let a replaced pool (and the container graph its log
-        # holds) be collected instead of leaking across redeploy cycles.
-        self._trackers: "weakref.WeakKeyDictionary[ContainerPool, _HalfLifeTracker]" = (
-            weakref.WeakKeyDictionary()
-        )
 
     def _schedule(self, tracker: _HalfLifeTracker, batch_key: int, deadline: float) -> None:
         tracker.scheduled[batch_key] = deadline
@@ -116,9 +124,9 @@ class HalfLifeEvictionPolicy(EvictionPolicy):
         """Incremental application: only batches whose period boundary has
         passed since the last call do any work; otherwise this is an O(1)
         deadline peek."""
-        tracker = self._trackers.get(pool)
+        tracker = pool.eviction_state
         if tracker is None:
-            tracker = self._trackers[pool] = _HalfLifeTracker()
+            tracker = self._tracker(pool)
         if tracker.cursor < len(pool.creation_log):
             self._ingest(pool, tracker)
         evicted = 0
@@ -132,8 +140,7 @@ class HalfLifeEvictionPolicy(EvictionPolicy):
                 tracker.batches.pop(batch_key, None)
                 continue
             members.sort(key=lambda c: (c.created_at, c.container_id))
-            key = (pool.function_name, batch_key)
-            already_evicted = self._evicted_counts.get(key, 0)
+            already_evicted = tracker.evicted_counts.get(batch_key, 0)
             # The period count is anchored at the earliest *currently warm*
             # member: if the whole batch vanished
             # (update_function) and was repopulated, the half-life restarts.
@@ -146,7 +153,7 @@ class HalfLifeEvictionPolicy(EvictionPolicy):
             victims = members[survivors:]
             if victims:
                 pool.evict(victims)
-                self._evicted_counts[key] = already_evicted + len(victims)
+                tracker.evicted_counts[batch_key] = already_evicted + len(victims)
                 evicted += len(victims)
             remaining = members[:survivors]
             tracker.batches[batch_key] = remaining
@@ -161,7 +168,7 @@ class HalfLifeEvictionPolicy(EvictionPolicy):
 
 @dataclass
 class _IdleTracker:
-    """Per-function incremental state of the idle-timeout policies."""
+    """Per-pool incremental state of the idle-timeout policies."""
 
     cursor: int = 0
     #: Sandboxes seen in the creation log that were not yet warm (still
@@ -169,6 +176,12 @@ class _IdleTracker:
     #: they first appear warm, matching the scan-based draw order.
     pending: list[Container] = field(default_factory=list)
     heap: list[tuple[float, int, Container]] = field(default_factory=list)
+    #: Heap entries pushed so far (the tie-break of equal expiries).
+    pushed: int = 0
+    #: container_id -> its drawn idle timeout.
+    timeouts: dict[str, float] = field(default_factory=dict)
+    #: The pool's timeout stream, derived on its first draw.
+    rng: np.random.Generator | None = None
 
 
 class IdleTimeoutEvictionPolicy(EvictionPolicy):
@@ -178,20 +191,21 @@ class IdleTimeoutEvictionPolicy(EvictionPolicy):
     reproduce the unpredictable cold-start behaviour observed on those
     platforms.
 
-    ``rng_factory`` (preferred) maps a function name to that function's
-    private timeout stream: every pool draws from its own generator, in its
-    own container-creation order, so one function's eviction jitter is a
-    pure function of its own history — the isolation sharded replay
-    (:mod:`repro.parallel`) depends on.  The legacy single ``rng`` is kept
-    for callers that only ever evict one pool.
+    ``rng_factory`` maps a function name to that function's private timeout
+    stream: every pool draws from its own generator, in its own
+    container-creation order, so one function's eviction jitter is a pure
+    function of its own history — the isolation sharded replay
+    (:mod:`repro.parallel`) depends on.
     """
+
+    _tracker_type = _IdleTracker
 
     def __init__(
         self,
         mean_idle_timeout_s: float = 900.0,
         jitter_cv: float = 0.3,
-        rng: np.random.Generator | None = None,
-        rng_factory=None,
+        *,
+        rng_factory,
     ):
         if mean_idle_timeout_s <= 0:
             raise ConfigurationError("idle timeout must be positive")
@@ -199,37 +213,20 @@ class IdleTimeoutEvictionPolicy(EvictionPolicy):
             raise ConfigurationError("jitter_cv must be non-negative")
         self.mean_idle_timeout_s = mean_idle_timeout_s
         self.jitter_cv = jitter_cv
-        self._rng = rng or np.random.default_rng(0)
         self._rng_factory = rng_factory
-        self._timeouts: dict[str, float] = {}
-        # Weak pool-identity keys — see HalfLifeEvictionPolicy._trackers.
-        self._trackers: "weakref.WeakKeyDictionary[ContainerPool, _IdleTracker]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._pool_rngs: "weakref.WeakKeyDictionary[ContainerPool, np.random.Generator]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._entry_seq = itertools.count()
-
-    def _pool_rng(self, pool: ContainerPool) -> np.random.Generator:
-        if self._rng_factory is None:
-            return self._rng
-        rng = self._pool_rngs.get(pool)
-        if rng is None:
-            rng = self._pool_rngs[pool] = self._rng_factory(pool.function_name)
-        return rng
 
     def _timeout_for(self, pool: ContainerPool, container: Container) -> float:
-        if container.container_id not in self._timeouts:
+        tracker = self._tracker(pool)
+        timeout = tracker.timeouts.get(container.container_id)
+        if timeout is None:
+            factor = 1.0
             if self.jitter_cv > 0:
+                if tracker.rng is None:
+                    tracker.rng = self._rng_factory(pool.function_name)
                 sigma = np.sqrt(np.log(1.0 + self.jitter_cv**2))
-                factor = float(
-                    self._pool_rng(pool).lognormal(mean=-sigma**2 / 2.0, sigma=sigma)
-                )
-            else:
-                factor = 1.0
-            self._timeouts[container.container_id] = self.mean_idle_timeout_s * factor
-        return self._timeouts[container.container_id]
+                factor = float(tracker.rng.lognormal(mean=-sigma**2 / 2.0, sigma=sigma))
+            timeout = tracker.timeouts[container.container_id] = self.mean_idle_timeout_s * factor
+        return timeout
 
     def _ingest(self, pool: ContainerPool, tracker: _IdleTracker) -> None:
         log = pool.creation_log
@@ -251,9 +248,9 @@ class IdleTimeoutEvictionPolicy(EvictionPolicy):
             # in creation order — reproduces the RNG draw sequence of the
             # scan-based path exactly.
             timeout = self._timeout_for(pool, container)
+            tracker.pushed += 1
             heapq.heappush(
-                tracker.heap,
-                (container.last_used_at + timeout, next(self._entry_seq), container),
+                tracker.heap, (container.last_used_at + timeout, tracker.pushed, container)
             )
         tracker.pending = still_pending
 
@@ -264,9 +261,9 @@ class IdleTimeoutEvictionPolicy(EvictionPolicy):
         time*; if it served again in between, the stale deadline surfaces,
         the entry is re-pushed at the true expiry, and nothing is evicted.
         """
-        tracker = self._trackers.get(pool)
+        tracker = pool.eviction_state
         if tracker is None:
-            tracker = self._trackers[pool] = _IdleTracker()
+            tracker = self._tracker(pool)
         if tracker.cursor < len(pool.creation_log) or tracker.pending:
             self._ingest(pool, tracker)
         evicted = 0
@@ -274,7 +271,7 @@ class IdleTimeoutEvictionPolicy(EvictionPolicy):
             _, seq, container = heapq.heappop(tracker.heap)
             if not container.is_warm:
                 continue
-            expiry = container.last_used_at + self._timeouts[container.container_id]
+            expiry = container.last_used_at + tracker.timeouts[container.container_id]
             # Strict inequality mirrors idle_time(now) > timeout.
             if expiry < now:
                 pool.evict([container])

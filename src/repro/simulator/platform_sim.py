@@ -482,6 +482,11 @@ class SimulatedPlatform(FaaSPlatform):
         state.klass = state.lane = None
         return function
 
+    def delete_function(self, fname: str) -> None:
+        super().delete_function(fname)
+        # The runtime state (pool, streams, provider log, lane) goes with it.
+        self._state.pop(fname, None)
+
     def query_logs(self, fname: str, query: LogQueryType) -> list[float]:
         state = self._runtime_state(fname)
         if query is LogQueryType.TIME:
@@ -907,12 +912,6 @@ class SimulatedPlatform(FaaSPlatform):
         )
 
     # ------------------------------------------------------------- internals
-    def _release_container(self, fname: str, container_id: str) -> None:
-        """Return one occupancy slot of ``container_id`` (stream completions)."""
-        state = self._state.get(fname)
-        if state is not None:
-            state.pool.release(container_id)
-
     def _acquire_container(
         self, function: DeployedFunction, state: _FunctionRuntimeState, start_at: float
     ) -> tuple[Container, StartType]:
@@ -1082,8 +1081,7 @@ class SimulatedPlatform(FaaSPlatform):
         record = invocation_record(
             lane.meta, start_type, values, container_id, start_at, request_index, output, output_bytes
         )
-        container.serve(record.finished_at)
-        state.pool.touch(container)
+        state.pool.serve(container, record.finished_at)
         state.history.append(
             _LogEntry(
                 fname, record.provider_time_s, record.memory_used_mb, record.cost.total,

@@ -104,10 +104,6 @@ from .trace import MergedWorkloadTrace, WorkloadTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulator.platform_sim import SimulatedPlatform, _FunctionRuntimeState
 
-#: Evicted sandboxes are pruned from the pools every this many requests, so
-#: the pool bookkeeping stays O(live sandboxes) instead of O(all ever made).
-_PRUNE_INTERVAL = 1024
-
 #: Trigger channels whose invocations are fire-and-forget: over the
 #: concurrency limit they spill into the admission queue instead of
 #: receiving a synchronous 429.
@@ -856,7 +852,6 @@ class WorkloadEngine:
         inline_ok = hedge is None and stale_after_s is None
         states = platform._state
         simulate = platform._simulate_invocation
-        release = platform._release_container
         clock = platform.clock
         base = clock.now()
         sequence = itertools.count()
@@ -889,7 +884,6 @@ class WorkloadEngine:
         in_flight_total = 0
         last_submitted = 0.0
         last_finish = base
-        processed = 0
         peak = 0
         self.last_peak_in_flight = 0
         #: Records produced since the last flush point, yielded before the
@@ -910,7 +904,7 @@ class WorkloadEngine:
             client resubmitted (the doomed execution's cost rides along in
             the retry's ``carried`` slot until a terminal record emits it).
             """
-            nonlocal peak, last_finish, processed, in_flight_total
+            nonlocal peak, last_finish, in_flight_total
             fname = request.function_name
             sync = request.trigger not in ASYNC_TRIGGERS
             fault_scale = None
@@ -1012,9 +1006,6 @@ class WorkloadEngine:
                 peak = in_flight_total
             if record.finished_at > last_finish:
                 last_finish = record.finished_at
-            processed += 1
-            if processed % _PRUNE_INTERVAL == 0:
-                self._prune_pools()
             if stale and client_policy is not None:
                 # The client's per-attempt timeout already fired: from its
                 # point of view this attempt failed, so it retries — while
@@ -1107,8 +1098,8 @@ class WorkloadEngine:
                     _, _, done_fname, container_id, counted, signal = heapq.heappop(
                         completions
                     )
-                    if container_id:
-                        release(done_fname, container_id)
+                    if container_id and done_fname in states:
+                        states[done_fname].pool.release(container_id)
                     if counted:
                         in_flight_by_fn[done_fname] -= 1
                         in_flight_total -= 1
@@ -1455,9 +1446,6 @@ class WorkloadEngine:
                     peak = in_flight_total
                 if record.finished_at > last_finish:
                     last_finish = record.finished_at
-                processed += 1
-                if processed % _PRUNE_INTERVAL == 0:
-                    self._prune_pools()
                 if out:
                     yield from out
                     out.clear()
@@ -1480,8 +1468,8 @@ class WorkloadEngine:
             self.last_peak_in_flight = peak
             while completions:
                 _, _, done_fname, container_id, _, _ = heapq.heappop(completions)
-                if container_id:
-                    release(done_fname, container_id)
+                if container_id and done_fname in states:
+                    states[done_fname].pool.release(container_id)
 
     def replay(
         self,
@@ -1566,10 +1554,6 @@ class WorkloadEngine:
             return streaming_result(provider, sink, time.perf_counter() - wall_start, peak)
         records = sink if isinstance(sink, list) else sink.materialize()
         return record_result(provider, records, time.perf_counter() - wall_start, peak)
-
-    def _prune_pools(self) -> None:
-        for state in self.platform._state.values():
-            state.pool.prune()
 
     @staticmethod
     def _peak_in_flight(records: list[InvocationRecord]) -> int:

@@ -54,7 +54,7 @@ def _select_half_life(policy, pool, now):
         batches.setdefault(batch_key, []).append(container)
     for batch_key, batch in batches.items():
         batch.sort(key=lambda c: (c.created_at, c.container_id))
-        already_evicted = policy._evicted_counts.get((pool.function_name, batch_key), 0)
+        already_evicted = policy._tracker(pool).evicted_counts.get(batch_key, 0)
         initial = len(batch) + already_evicted
         periods = int((now - batch[0].created_at) // policy.period_s)
         if periods <= 0:
@@ -78,9 +78,10 @@ def _apply_full(policy, pool, now):
     """Scan-based eviction: the reference the incremental ``apply`` must match."""
     if isinstance(policy, HalfLifeEvictionPolicy):
         victims = _select_half_life(policy, pool, now)
+        counts = policy._tracker(pool).evicted_counts
         for container in victims:
-            key = (pool.function_name, int(container.created_at // policy.period_s))
-            policy._evicted_counts[key] = policy._evicted_counts.get(key, 0) + 1
+            key = int(container.created_at // policy.period_s)
+            counts[key] = counts.get(key, 0) + 1
     else:
         assert isinstance(policy, IdleTimeoutEvictionPolicy)
         victims = _select_idle(policy, pool, now)

@@ -35,23 +35,29 @@ def make_pool(count: int, created_at: float = 0.0, name: str = "f") -> Container
 
 class TestContainer:
     def test_serve_updates_state_and_counters(self):
+        pool = ContainerPool("f")
         container = make_container()
-        container.serve(5.0)
+        pool.add(container)
+        pool.serve(container, 5.0)
         assert container.invocations == 1
         assert container.last_used_at == 5.0
         assert container.is_warm
 
     def test_evicted_container_cannot_serve(self):
+        pool = ContainerPool("f")
         container = make_container()
-        container.evict()
+        pool.add(container)
+        pool.evict([container])
         with pytest.raises(PlatformError):
-            container.serve(1.0)
+            pool.serve(container, 1.0)
         with pytest.raises(PlatformError):
             container.mark_warm(1.0)
 
     def test_uptime_and_idle_time(self):
+        pool = ContainerPool("f")
         container = make_container(created_at=10.0)
-        container.serve(15.0)
+        pool.add(container)
+        pool.serve(container, 15.0)
         assert container.uptime(20.0) == 10.0
         assert container.idle_time(20.0) == 5.0
 
@@ -122,17 +128,17 @@ class TestHalfLifeEviction:
 
 class TestIdleTimeoutEviction:
     def test_keeps_recently_used_containers(self):
-        policy = IdleTimeoutEvictionPolicy(mean_idle_timeout_s=900.0, jitter_cv=0.0, rng=np.random.default_rng(0))
+        policy = IdleTimeoutEvictionPolicy(mean_idle_timeout_s=900.0, jitter_cv=0.0, rng_factory=lambda _: np.random.default_rng(0))
         pool = make_pool(5)
         assert policy.apply(pool, now=100.0) == 0
 
     def test_evicts_idle_containers_after_timeout(self):
-        policy = IdleTimeoutEvictionPolicy(mean_idle_timeout_s=900.0, jitter_cv=0.0, rng=np.random.default_rng(0))
+        policy = IdleTimeoutEvictionPolicy(mean_idle_timeout_s=900.0, jitter_cv=0.0, rng_factory=lambda _: np.random.default_rng(0))
         pool = make_pool(5)
         assert policy.apply(pool, now=1000.0) == 5
 
     def test_jitter_makes_evictions_gradual(self):
-        policy = IdleTimeoutEvictionPolicy(mean_idle_timeout_s=900.0, jitter_cv=0.6, rng=np.random.default_rng(1))
+        policy = IdleTimeoutEvictionPolicy(mean_idle_timeout_s=900.0, jitter_cv=0.6, rng_factory=lambda _: np.random.default_rng(1))
         pool = make_pool(50)
         policy.apply(pool, now=900.0)
         survivors = pool.warm_count()

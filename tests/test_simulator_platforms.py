@@ -423,3 +423,81 @@ def test_invoked_platform_is_freed_without_the_cycle_collector(provider):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_deleted_function_leaves_no_runtime_state():
+    """delete_function drops the function's runtime state, so a later replay
+    that announces fault windows for every known function does not trip over
+    the deleted one."""
+    from repro.faas.invocation import InvocationRequest
+    from repro.faults import FaultPlaneConfig, OutageWindow
+
+    faults = FaultPlaneConfig(outages=(OutageWindow(start_s=1.0, duration_s=2.0),))
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=1, faults=faults))
+    deploy_benchmark(platform, "dynamic-html", memory_mb=256, function_name="gone")
+    platform.invoke("gone", payload={})
+    platform.delete_function("gone")
+    fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256, function_name="kept")
+    # A lazy stream has no function list, so the replay announces the
+    # windows of every function with runtime state.
+    requests = (InvocationRequest(fname, submitted_at=float(t)) for t in range(5))
+    result = platform.run_workload(requests, timeseries=1.0)
+    assert result.invocation_count == 5
+    assert sorted(platform._state) == ["kept"]
+
+
+def test_redeployed_sandbox_draws_a_fresh_idle_timeout():
+    """delete + create under the same name mints the same sandbox id again;
+    the idle-timeout policy must draw that sandbox a new timeout instead of
+    reusing the deleted deployment's."""
+    platform = create_platform(Provider.GCP, SimulationConfig(seed=3))
+    policy = platform.eviction_policy
+    timeouts = []
+    for _ in range(2):
+        deploy_benchmark(platform, "dynamic-html", memory_mb=256, function_name="web")
+        record = platform.invoke("web", payload={})
+        assert record.container_id == "web-c00000001"
+        platform.warm_container_count("web")  # the policy ingests the sandbox
+        pool = platform._state["web"].pool
+        timeouts.append(policy._timeout_for(pool, pool.creation_log[0]))
+        platform.delete_function("web")
+    assert timeouts[0] != timeouts[1]
+
+
+def test_pool_prunes_itself_during_long_idle_eviction_replay(monkeypatch):
+    """A long GCP replay with many idle evictions keeps the pool's
+    bookkeeping within a small multiple of its live sandboxes, and pruning
+    changes no simulated output."""
+    from repro.simulator.containers import ContainerPool
+    from repro.workload import BurstyArrivals, WorkloadTrace
+
+    trace = WorkloadTrace.synthesize(
+        "web",
+        BurstyArrivals(on_rate_per_s=10.0, mean_on_s=20.0, mean_off_s=1500.0),
+        duration_s=6 * 3600.0,
+        rng=9,
+    )
+
+    def replay():
+        platform = create_platform(Provider.GCP, SimulationConfig(seed=5))
+        deploy_benchmark(platform, "dynamic-html", memory_mb=256, function_name="web")
+        result = platform.run_workload(trace, keep_records=False)
+        return result, platform._state["web"].pool
+
+    result, pool = replay()
+    live = pool.warm_count()
+    assert pool.total_created() > 10 * len(pool)
+    assert len(pool) <= 2 * live
+    # The numbers the replay gave before pools pruned themselves.
+    assert (result.invocation_count, result.cold_start_total, pool.total_created()) == (4532, 451, 451)
+    assert result.cost_usd_total == 0.006266651709365505
+
+    def outcome(result):
+        row = result.summary_row()
+        del row["throughput_inv_per_s"]  # wall clock
+        return row, result.to_rows()
+
+    monkeypatch.setattr(ContainerPool, "prune", lambda self: None)
+    unpruned, unpruned_pool = replay()
+    assert len(unpruned_pool) == pool.total_created()
+    assert outcome(unpruned) == outcome(result)
