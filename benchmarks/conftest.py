@@ -90,7 +90,7 @@ def generator_loop(platform, trace, keep_records: bool = True):
     if not keep_records:
         accumulator = _ReplayAccumulator()
         for record in engine.stream(trace):
-            accumulator.add(record)
+            accumulator.add_record(record)
         return streaming_result(
             platform.provider,
             accumulator,

@@ -24,6 +24,8 @@ from .eviction import EvictionPolicy
 from .platform_sim import SimulatedPlatform
 from .profiles import IAAS_S3_STORAGE_PROFILE
 
+_WARM = StartType.WARM
+
 
 class _NeverEvict(EvictionPolicy):
     """The VM never evicts its worker process."""
@@ -70,9 +72,14 @@ class IaaSPlatform(SimulatedPlatform):
         # The VM's worker process is always running: the first invocation
         # (and the first after an update, which evicts the old record)
         # creates the bookkeeping record, but every execution is "warm".
+        # Taking the VM through pick_mru consumes the heap entry serve() and
+        # release() push for it; the scan covers a VM that is busy.
+        container = state.pool.pick_mru(function.version)
+        if container is not None:
+            return container, _WARM
         for container in state.pool.all_containers():
             if container.state is not ContainerState.EVICTED:
-                return container, StartType.WARM
+                return container, _WARM
         container = Container(
             function_name=function.name,
             function_version=function.version,
@@ -82,7 +89,7 @@ class IaaSPlatform(SimulatedPlatform):
         )
         container.mark_warm(start_at)
         state.pool.add(container)
-        return container, StartType.WARM
+        return container, _WARM
 
     # ------------------------------------------------------------ utilities
     def hourly_cost(self) -> float:

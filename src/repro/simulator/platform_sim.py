@@ -37,7 +37,6 @@ from ..benchmarks.registry import BenchmarkRegistry, default_registry
 from ..concurrency import build_function_throttle, create_retry_policy
 from ..config import (
     FunctionConfig,
-    InvocationOutcome,
     Language,
     Provider,
     SimulationConfig,
@@ -49,7 +48,7 @@ from ..exceptions import (
     FunctionAlreadyExistsError,
     PlatformError,
 )
-from ..faas.billing import BillingModel, CompiledBilling, CostBreakdown, billing_model_for
+from ..faas.billing import BillingModel, CompiledBilling, billing_model_for
 from ..faas.function import CodePackage, DeployedFunction
 from ..columnar.draws import install_draw_blocks
 from ..faults.plane import build_fault_state
@@ -73,6 +72,10 @@ from .step import invocation_record, invoke_step, upload_time
 #: overwhelmingly common case on trace replays, special-cased to avoid a
 #: json.dumps round trip per request.
 _EMPTY_PAYLOAD_BYTES = len(json.dumps({}).encode("utf-8"))
+
+_WARM = StartType.WARM
+_COLD = StartType.COLD
+_HTTP = TriggerType.HTTP
 
 
 class CompiledOverhead(NamedTuple):
@@ -519,9 +522,7 @@ class SimulatedPlatform(FaaSPlatform):
         payload_bytes: int | None = None,
     ) -> InvocationRecord:
         """Sequential invocation: the virtual clock advances by the client time."""
-        record = self._simulate_invocation(
-            fname, payload, trigger, payload_bytes, concurrency=1, start_at=self.clock.now()
-        )
+        record = self._invoke_record(fname, payload, trigger, payload_bytes, 1, self.clock.now())
         # A sequential caller waits for the response, so the sandbox is free
         # again by the time anything else happens.
         self._state[fname].pool.release(record.container_id)
@@ -577,19 +578,11 @@ class SimulatedPlatform(FaaSPlatform):
         pool = self._runtime_state(fname).pool
         try:
             for _ in range(count):
-                # Each invocation's reservation (taken inside
-                # _simulate_invocation) stays held until the whole batch is
-                # done, so later members of the burst cannot reuse the
-                # sandbox.
+                # Each invocation's reservation (taken by the dispatch)
+                # stays held until the whole batch is done, so later
+                # members of the burst cannot reuse the sandbox.
                 records.append(
-                    self._simulate_invocation(
-                        fname,
-                        payload or {},
-                        trigger,
-                        payload_bytes,
-                        concurrency=count,
-                        start_at=start_at,
-                    )
+                    self._invoke_record(fname, payload or {}, trigger, payload_bytes, count, start_at)
                 )
         finally:
             for record in records:
@@ -928,7 +921,7 @@ class SimulatedPlatform(FaaSPlatform):
             # indexed pick instead of a pool scan.
             container = state.pool.pick_mru(function.version)
             if container is not None:
-                return container, StartType.WARM
+                return container, _WARM
         container = Container(
             function_name=function.name,
             function_version=function.version,
@@ -939,7 +932,7 @@ class SimulatedPlatform(FaaSPlatform):
         state.pool.add(container)
         if self._observer is not None:
             self._observer.on_container_create(function.name, container.container_id, start_at)
-        return container, StartType.COLD
+        return container, _COLD
 
     # ------------------------------------------------- overload / admission
     def _throttle_response_s(self, trigger: TriggerType) -> float:
@@ -951,57 +944,7 @@ class SimulatedPlatform(FaaSPlatform):
         identical whether or not earlier requests got throttled.
         """
         profile = self.performance.invocation
-        return profile.http_gateway_s if trigger is TriggerType.HTTP else profile.sdk_overhead_s
-
-    def _overload_record(
-        self,
-        fname: str,
-        *,
-        outcome: InvocationOutcome,
-        submitted_at: float,
-        finished_at: float,
-        attempts: int,
-        admission_delay_s: float,
-        request_index: int,
-        error: str,
-    ) -> InvocationRecord:
-        """Record of a request that never executed.
-
-        Shared by every rejected-request path — admission throttles/drops,
-        fault-plane outage responses (``FAULTED``) and client breaker
-        rejections (``SHORT_CIRCUITED``).  No sandbox, no billing:
-        providers do not charge requests that never reached a sandbox, and
-        a breaker rejection never even left the client.
-        """
-        function = self.get_function(fname)
-        client_time_s = finished_at - submitted_at
-        return InvocationRecord(
-            function_name=fname,
-            benchmark=function.benchmark,
-            provider=self.provider,
-            start_type=StartType.NONE,
-            success=False,
-            benchmark_time_s=0.0,
-            provider_time_s=0.0,
-            client_time_s=client_time_s,
-            invocation_overhead_s=client_time_s,
-            cold_init_s=0.0,
-            memory_declared_mb=function.config.memory_mb,
-            memory_used_mb=0.0,
-            billed_duration_s=0.0,
-            cost=CostBreakdown(request_cost=0.0, compute_cost=0.0),
-            output_bytes=0,
-            container_id="",
-            submitted_at=submitted_at,
-            started_at=finished_at,
-            finished_at=finished_at,
-            error=error,
-            outcome=outcome,
-            attempts=attempts,
-            admitted_at=finished_at,
-            admission_delay_s=admission_delay_s,
-            request_index=request_index,
-        )
+        return profile.http_gateway_s if trigger is _HTTP else profile.sdk_overhead_s
 
     def _execute_kernel(self, function: DeployedFunction, payload: Mapping[str, Any]) -> tuple[dict, int]:
         """Optionally run the real kernel; returns (output, output_bytes)."""
@@ -1011,7 +954,7 @@ class SimulatedPlatform(FaaSPlatform):
         encoded = json.dumps(result, default=str).encode("utf-8")
         return result, len(encoded)
 
-    def _simulate_invocation(
+    def _invoke_record(
         self,
         fname: str,
         payload: Mapping[str, Any],
@@ -1019,19 +962,39 @@ class SimulatedPlatform(FaaSPlatform):
         payload_bytes: int | None,
         concurrency: int,
         start_at: float,
-        request_index: int = -1,
-        fault_scale: tuple[float, float] | None = None,
     ) -> InvocationRecord:
-        """Simulate one invocation; leaves the sandbox *reserved*.
+        """Dispatch one direct invocation (``invoke``/``invoke_batch``) and build its record."""
+        lane, start_type, values, container_id, output, output_bytes = self._dispatch_invocation(
+            fname, payload, trigger, payload_bytes, concurrency, start_at
+        )
+        return invocation_record(
+            lane.meta, start_type, values, container_id, start_at, -1, output, output_bytes
+        )
+
+    def _dispatch_invocation(
+        self,
+        fname: str,
+        payload: Mapping[str, Any],
+        trigger: TriggerType,
+        payload_bytes: int | None,
+        concurrency: int,
+        start_at: float,
+        fault_scale: tuple[float, float] | None = None,
+    ) -> tuple:
+        """Run one invocation on a sandbox; leaves the sandbox *reserved*.
 
         Acquires the sandbox, hands the invocation to
         :func:`~repro.simulator.step.invoke_step` on the function's lane (in
-        kernel mode with the real kernel as its ``kernel`` hook) and builds
-        the record and the provider-log entry.  The caller owns the
-        reservation and must release it once the invocation no longer
-        occupies its sandbox (immediately for sequential calls, at the end
-        of the burst for batches, at the completion event for stream
-        replay).
+        kernel mode with the real kernel as its ``kernel`` hook), serves the
+        sandbox and appends the provider-log entry, all from the step's
+        values.  Returns ``(lane, start_type, values, container_id, output,
+        output_bytes)``; building a record from them
+        (:func:`~repro.simulator.step.invocation_record`) is the caller's
+        business, so a replay that only folds outcomes builds none.  The
+        caller owns the reservation and must release it once the invocation
+        no longer occupies its sandbox (immediately for sequential calls,
+        at the end of the burst for batches, at the completion event for
+        stream replay).
 
         ``fault_scale`` is the active latency-storm multiplier pair
         ``(compute, network)`` from the fault plane (:mod:`repro.faults`),
@@ -1061,7 +1024,7 @@ class SimulatedPlatform(FaaSPlatform):
                 try:
                     output, output_bytes = self._execute_kernel(function, payload)
                 except BaseException:
-                    # The caller never sees a record to release; release()
+                    # The caller never sees the sandbox to release; release()
                     # re-indexes a warm sandbox whose MRU entry the pick
                     # already consumed.
                     state.pool.release(container_id)
@@ -1074,18 +1037,16 @@ class SimulatedPlatform(FaaSPlatform):
                 return output_bytes / lane.response_denom, statics
 
         values = invoke_step(
-            lane, start_type is StartType.COLD, concurrency, trigger is TriggerType.HTTP,
+            lane, start_type is _COLD, concurrency, trigger is _HTTP,
             payload_upload_s, fault_scale, kernel,
         )
         output, output_bytes = ran[0] if ran else ({}, lane.meta.output_bytes)
-        record = invocation_record(
-            lane.meta, start_type, values, container_id, start_at, request_index, output, output_bytes
-        )
-        state.pool.serve(container, record.finished_at)
+        finished_at = start_at + values[2]
+        state.pool.serve(container, finished_at)
         state.history.append(
             _LogEntry(
-                fname, record.provider_time_s, record.memory_used_mb, record.cost.total,
-                start_type, record.success, record.finished_at,
+                fname, values[1], values[5], values[7] + values[8] + values[9] + values[10],
+                start_type, values[11] is None, finished_at,
             )
         )
-        return record
+        return lane, start_type, values, container_id, output, output_bytes

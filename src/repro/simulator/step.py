@@ -4,13 +4,17 @@ Given a function's lane (its compiled class constants and prebound stream
 handles, see :func:`repro.columnar.engine._build_lane`) and the sandbox
 decision already made, :func:`invoke_step` samples and prices one
 invocation.  The generator loop
-(:meth:`~repro.simulator.platform_sim.SimulatedPlatform._simulate_invocation`)
+(:meth:`~repro.simulator.platform_sim.SimulatedPlatform._dispatch_invocation`)
 and the columnar loop (:mod:`repro.columnar.engine`) both call it; they
 differ only in how they schedule invocations and where the values go.
-Every record built from the values — by the generator loop, by the
-columnar loop's observer mode and by
+A record of one invocation's values — built by ``invoke``/``invoke_batch``,
+by the columnar loop's observer mode and by
 :meth:`~repro.columnar.records.ColumnarRecordBlock.materialize` — comes
-from :func:`invocation_record`.
+from :func:`invocation_record`.  The generator loop's terminal outcomes
+add client-side fields (retry and queue delay, hedge pair, staleness,
+carried cost); its record builder
+(:func:`repro.workload.engine._record_builder`) builds those records from
+the same values, and a streaming replay folds the outcome without one.
 
 **Draw order.**  The step consumes the function's streams in this order:
 

@@ -37,9 +37,10 @@ Two aggregation modes, one aggregation path:
 
 Either way every count, cost and queue-delay total is folded by one
 :class:`_ReplayAccumulator` (:func:`record_result` folds the kept records
-in arrival order).  The engine is deterministic: the same platform seed and
-the same trace produce identical schedules, counters and simulated spans in
-either mode.  Cost and queue-delay totals are identical too, except in
+in arrival order; a streaming controlled replay folds each terminal
+outcome from its field values and builds no record at all).  The engine
+is deterministic: the same platform seed and the same trace produce
+identical schedules, counters and simulated spans in either mode.  Cost and queue-delay totals are identical too, except in
 controlled replays: there streaming mode folds each function's sums in
 resolution order rather than arrival order, so they agree to float
 associativity.
@@ -83,10 +84,11 @@ feedback heap without ever re-sorting the event queue:
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -203,11 +205,16 @@ _N_COUNTERS = 12
     _THROTTLE_EVENTS, _RETRIES, _QUEUED, _FAULTED, _SHORT_CIRCUITED, _HEDGES,
 ) = range(_N_COUNTERS)
 
+_COMPLETED_OUTCOME = InvocationOutcome.COMPLETED
+_FAILED_OUTCOME = InvocationOutcome.FAILED
 _THROTTLED_OUTCOME = InvocationOutcome.THROTTLED
 _DROPPED_OUTCOME = InvocationOutcome.DROPPED
 _FAULTED_OUTCOME = InvocationOutcome.FAULTED
 _SHORT_CIRCUITED_OUTCOME = InvocationOutcome.SHORT_CIRCUITED
 _COLD_START = StartType.COLD
+_NO_START = StartType.NONE
+#: The cost components of an outcome that billed nothing.
+_NO_COST = (0.0, 0.0, 0.0, 0.0)
 
 
 def _counter_total(position: int) -> property:
@@ -280,63 +287,77 @@ class _ReplayAccumulator:
             sample = self._promote(slot)
         sample.add_many(values)
 
-    def add(self, record: InvocationRecord) -> None:
-        """Fold one terminal record (the generator loop's sink)."""
-        if self.first_submitted is None or record.submitted_at < self.first_submitted:
-            self.first_submitted = record.submitted_at
-        if self.last_finished is None or record.finished_at > self.last_finished:
-            self.last_finished = record.finished_at
-        slot = self.slots.get(record.function_name)
+    def add(
+        self, function_name: str, outcome: InvocationOutcome, success: bool,
+        start_type: StartType, submitted_at: float, finished_at: float,
+        client_time_s: float, cost_total: float, attempts: int,
+        admission_delay_s: float, hedges: int, *_record_only,
+    ) -> None:
+        """Fold one terminal outcome, given as its record's field values.
+
+        The generator loop's value fold (see :meth:`WorkloadEngine.replay`):
+        it calls this with the arguments a record builder takes, whose
+        trailing ones (request index, error, cost components, execution)
+        only a record needs.  Record mode goes through :meth:`add_record`.
+        """
+        if self.first_submitted is None or submitted_at < self.first_submitted:
+            self.first_submitted = submitted_at
+        if self.last_finished is None or finished_at > self.last_finished:
+            self.last_finished = finished_at
+        slot = self.slots.get(function_name)
         if slot is None:
-            slot = self.slot(record.function_name)
+            slot = self.slot(function_name)
         row = self.counts[slot]
         row[_INVOCATIONS] += 1
-        outcome = record.outcome
-        if not record.executed:
-            # Non-executed terminal records usually cost nothing, but a
+        if outcome is not _COMPLETED_OUTCOME and outcome is not _FAILED_OUTCOME:
+            # Non-executed terminal outcomes usually cost nothing, but a
             # stale-resubmission saga that exhausted its budget against a
             # 429/outage/breaker rejection still billed the executions the
-            # client timed out on — the terminal record carries them.
-            self.cost[slot] += record.cost.total
-            row[_HEDGES] += record.hedges
-        if outcome is _THROTTLED_OUTCOME:
-            # Every attempt of a finally-throttled request got a 429.
-            row[_THROTTLED] += 1
-            row[_THROTTLE_EVENTS] += record.attempts
-            row[_RETRIES] += record.attempts - 1
-            return
-        if outcome is _DROPPED_OUTCOME:
-            row[_DROPPED] += 1
-            return
-        if outcome is _FAULTED_OUTCOME:
-            row[_FAULTED] += 1
-            row[_RETRIES] += record.attempts - 1
-            return
-        if outcome is _SHORT_CIRCUITED_OUTCOME:
-            row[_SHORT_CIRCUITED] += 1
-            row[_RETRIES] += record.attempts - 1
+            # client timed out on — the terminal outcome carries them.
+            self.cost[slot] += cost_total
+            row[_HEDGES] += hedges
+            if outcome is _THROTTLED_OUTCOME:
+                # Every attempt of a finally-throttled request got a 429.
+                row[_THROTTLED] += 1
+                row[_THROTTLE_EVENTS] += attempts
+            elif outcome is _DROPPED_OUTCOME:
+                row[_DROPPED] += 1
+                return
+            elif outcome is _FAULTED_OUTCOME:
+                row[_FAULTED] += 1
+            else:
+                row[_SHORT_CIRCUITED] += 1
+            row[_RETRIES] += attempts - 1
             return
         row[_EXECUTED] += 1
-        row[_HEDGES] += record.hedges
-        if record.attempts > 1:
+        row[_HEDGES] += hedges
+        if attempts > 1:
             # Executed after backoff: all prior attempts were rejected
             # (429s, or fault responses once the fault plane is active).
-            row[_THROTTLE_EVENTS] += record.attempts - 1
-            row[_RETRIES] += record.attempts - 1
-        elif record.admission_delay_s > 0.0:
+            row[_THROTTLE_EVENTS] += attempts - 1
+            row[_RETRIES] += attempts - 1
+        elif admission_delay_s > 0.0:
             # Single-attempt admission delay = time in the async queue.
             row[_QUEUED] += 1
-            self.queue_delay[slot] += record.admission_delay_s
-        if record.start_type is _COLD_START:
+            self.queue_delay[slot] += admission_delay_s
+        if start_type is _COLD_START:
             row[_COLD_STARTS] += 1
-        if not record.success:
+        if not success:
             row[_FAILURES] += 1
-        self.cost[slot] += record.cost.total
+        self.cost[slot] += cost_total
         sample = self.samples[slot]
         if type(sample) is list and len(sample) < DEFAULT_RESERVOIR_CAPACITY:
-            sample.append(record.client_time_s)
+            sample.append(client_time_s)
         else:
-            self._add_client_times(slot, [record.client_time_s])
+            self._add_client_times(slot, [client_time_s])
+
+    def add_record(self, record: InvocationRecord) -> None:
+        """Fold one terminal record through :meth:`add`."""
+        self.add(
+            record.function_name, record.outcome, record.success, record.start_type,
+            record.submitted_at, record.finished_at, record.client_time_s,
+            record.cost.total, record.attempts, record.admission_delay_s, record.hedges,
+        )
 
     def add_many(
         self,
@@ -639,7 +660,7 @@ class WorkloadResult:
             if record.executed:
                 client_times.setdefault(record.function_name, []).append(record.client_time_s)
         for fname, values in client_times.items():
-            summaries[fname] = replace(summaries[fname], client_time=summarize(values))
+            summaries[fname] = dataclasses.replace(summaries[fname], client_time=summarize(values))
         return summaries
 
     def to_rows(self) -> list[dict]:
@@ -721,32 +742,69 @@ def record_result(
 
     Sorts ``records`` in place by ``request_index`` — throttled and queued
     requests resolve out of arrival order, and serial and sharded record
-    lists must agree — then folds them with :meth:`_ReplayAccumulator.add`
+    lists must agree — then folds them with :meth:`_ReplayAccumulator.add_record`
     in that order and attaches them to the :func:`streaming_result`.
     """
     records.sort(key=attrgetter("request_index"))
     accumulator = _ReplayAccumulator()
     for record in records:
-        accumulator.add(record)
+        accumulator.add_record(record)
     result = streaming_result(provider, accumulator, wall_clock_s, peak_in_flight)
     result.records = records
     return result
 
 
-def _fold_carried(
-    record: InvocationRecord, carried: tuple[CostBreakdown, int] | None
-) -> InvocationRecord:
-    """Bill a resubmission saga's burned executions on its terminal record.
+def _add_costs(left: tuple, right) -> tuple:
+    """Two invocations' cost components, summed component by component."""
+    return (left[0] + right[0], left[1] + right[1], left[2] + right[2], left[3] + right[3])
 
-    ``carried`` is ``None`` for ordinary requests, which pass unchanged.
+
+def _record_builder(platform: "SimulatedPlatform", append: Callable) -> Callable:
+    """The terminal-outcome callable that builds records (:meth:`WorkloadEngine.stream`).
+
+    It takes the arguments of :meth:`_ReplayAccumulator.add` followed by
+    ``request_index``, ``error``, the four cost components and ``run`` —
+    ``(meta, values, container_id, dispatched_at, admitted_at, output,
+    output_bytes)`` of an executed request, ``None`` for one that never
+    ran — builds the request's one record from them and passes it to
+    ``append``.
     """
-    if carried is None:
-        return record
-    return replace(
-        record,
-        cost=record.cost + carried[0],
-        hedges=record.hedges + carried[1],
-    )
+
+    def build(
+        function_name, outcome, success, start_type, submitted_at, finished_at,
+        client_time_s, cost_total, attempts, admission_delay_s, hedges,
+        request_index, error, cost, run,
+    ) -> None:
+        if run is None:
+            # No sandbox, no execution: providers bill nothing, and only a
+            # resubmission saga carries the cost of earlier executions.
+            function = platform.get_function(function_name)
+            benchmark, provider = function.benchmark, platform.provider
+            memory_declared_mb = function.config.memory_mb
+            container_id, output, output_bytes = "", {}, 0
+            # Step values of a request that never ran: nothing measured or
+            # billed, and the whole client time is overhead.
+            values = (0.0, 0.0, None, client_time_s, 0.0, 0.0, 0.0)
+            started_at = admitted_at = finished_at
+        else:
+            meta, values, container_id, dispatched_at, admitted_at, output, output_bytes = run
+            benchmark, provider = meta.benchmark, meta.provider
+            memory_declared_mb = meta.memory_declared_mb
+            started_at = dispatched_at + values[3]
+        append(InvocationRecord(
+            function_name=function_name, benchmark=benchmark, provider=provider,
+            start_type=start_type, success=success, benchmark_time_s=values[0],
+            provider_time_s=values[1], client_time_s=client_time_s,
+            invocation_overhead_s=values[3], cold_init_s=values[4],
+            memory_declared_mb=memory_declared_mb, memory_used_mb=values[5],
+            billed_duration_s=values[6], cost=CostBreakdown(*cost), output_bytes=output_bytes,
+            container_id=container_id, submitted_at=submitted_at, started_at=started_at,
+            finished_at=finished_at, error=error, output=output, outcome=outcome,
+            attempts=attempts, admitted_at=admitted_at, admission_delay_s=admission_delay_s,
+            hedges=hedges, request_index=request_index,
+        ))
+
+    return build
 
 
 class WorkloadEngine:
@@ -794,6 +852,37 @@ class WorkloadEngine:
         clock is advanced to the last completion, so a subsequent
         ``warm_container_count`` or ``invoke`` sees the post-workload state.
 
+        ``positions`` overrides the default ``0, 1, 2, ...`` numbering of
+        requests (one index per request, in consumption order); each record
+        carries its request's number as ``request_index``.  Sharded replay
+        passes the indices from the *unsharded* stream so merged records
+        sort back into exact arrival order.  With the overload model
+        enabled, records are yielded as their requests *resolve* — a
+        retried or queued request's record appears after later arrivals
+        that resolved first; ``request_index`` recovers arrival order.
+        """
+        out: list[InvocationRecord] = []
+        return self._run(requests, positions, _record_builder(self.platform, out.append), out)
+
+    def _run(
+        self,
+        requests: Iterable[InvocationRequest],
+        positions: Iterable[int] | None,
+        terminal: Callable[..., None],
+        out: list[InvocationRecord],
+    ) -> Iterator[InvocationRecord]:
+        """The generator loop behind :meth:`stream` and the controlled :meth:`replay`.
+
+        Each request's terminal outcome is computed in full — hedge pair,
+        retry and queue delay, staleness, a resubmission saga's carried
+        cost — and handed to ``terminal`` once, as field values, in
+        resolution order: the arguments of :meth:`_ReplayAccumulator.add`
+        followed by what only a record needs (see :func:`_record_builder`).
+        ``out`` is the list ``terminal`` fills, if any; the loop yields its
+        contents before it pulls the next request, so a feedback source
+        sees every resolved record first.  With the accumulator's value
+        fold as ``terminal`` nothing is built and nothing is yielded.
+
         Sandbox occupancy lives in the pools' reservation multisets: each
         dispatched invocation holds one slot until its completion event is
         popped (or, if the stream is abandoned, until the generator is
@@ -830,15 +919,6 @@ class WorkloadEngine:
         its arrivals, its retries, its completions, its queue, its breaker
         and fault schedule — is derived from that function's own history,
         so a controlled replay shards exactly like an uncontrolled one.
-
-        ``positions`` overrides the default ``0, 1, 2, ...`` numbering of
-        requests (one index per request, in consumption order); each record
-        carries its request's number as ``request_index``.  Sharded replay
-        passes the indices from the *unsharded* stream so merged records
-        sort back into exact arrival order.  With the overload model
-        enabled, records are yielded as their requests *resolve* — a
-        retried or queued request's record appears after later arrivals
-        that resolved first; ``request_index`` recovers arrival order.
         """
         platform = self.platform
         observer = platform._observer
@@ -851,7 +931,7 @@ class WorkloadEngine:
         # attempt, so with either configured no arrival is executed inline.
         inline_ok = hedge is None and stale_after_s is None
         states = platform._state
-        simulate = platform._simulate_invocation
+        dispatch = platform._dispatch_invocation
         clock = platform.clock
         base = clock.now()
         sequence = itertools.count()
@@ -861,13 +941,10 @@ class WorkloadEngine:
         #: Feedback heap of retry attempts: (due [trace-relative],
         #: tie-break, request, position, first_submitted, attempts,
         #: carried).  ``carried`` is ``None`` except for stale-resubmission
-        #: sagas, where it accumulates the (cost, hedges) of executions the
-        #: client already timed out on.
+        #: sagas, where it accumulates the (cost components, hedges) of
+        #: executions the client already timed out on.
         retries: list[
-            tuple[
-                float, int, InvocationRequest, int, float, int,
-                tuple[CostBreakdown, int] | None,
-            ]
+            tuple[float, int, InvocationRequest, int, float, int, tuple[tuple, int] | None]
         ] = []
         #: Admission queues of functions with spilled work; a queue is
         #: deleted once drained, so an empty dict means nothing is queued.
@@ -886,23 +963,32 @@ class WorkloadEngine:
         last_finish = base
         peak = 0
         self.last_peak_in_flight = 0
-        #: Records produced since the last flush point, yielded before the
-        #: engine pulls the next request (the feedback contract: a consumer
-        #: sees every resolved record before it is asked for more input).
-        out: list[InvocationRecord] = []
+
+        def reject(
+            fname: str, outcome: InvocationOutcome, submitted_at: float, finished_at: float,
+            attempts: int, admission_delay_s: float, position: int, error: str,
+            carried: tuple[tuple, int] | None = None,
+        ) -> None:
+            """Resolve a request that never executed (429, drop, outage, breaker)."""
+            cost, hedges = (_NO_COST, 0) if carried is None else carried
+            terminal(
+                fname, outcome, False, _NO_START, submitted_at, finished_at,
+                finished_at - submitted_at, cost[0] + cost[1] + cost[2] + cost[3],
+                attempts, admission_delay_s, hedges, position, error, cost, None,
+            )
 
         def execute(
             request: InvocationRequest, state: _FunctionRuntimeState,
             position: int, now_abs: float,
             first_submitted_abs: float, attempts: int,
-            carried: tuple[CostBreakdown, int] | None = None,
-        ) -> InvocationRecord | None:
-            """Dispatch an admitted request at ``now_abs`` (controlled path).
+            carried: tuple[tuple, int] | None = None,
+        ) -> None:
+            """Dispatch an admitted request at ``now_abs`` and resolve it (controlled path).
 
-            Returns the request's terminal record — or ``None`` when the
-            response came back past the client's staleness deadline and the
-            client resubmitted (the doomed execution's cost rides along in
-            the retry's ``carried`` slot until a terminal record emits it).
+            When the response comes back past the client's staleness
+            deadline and the client resubmits, the request stays open
+            instead: the doomed execution's cost rides along in the retry's
+            ``carried`` slot until the saga's terminal outcome bills it.
             """
             nonlocal peak, last_finish, in_flight_total
             fname = request.function_name
@@ -916,21 +1002,15 @@ class WorkloadEngine:
                     observer.on_container_evict(fname, crash_evicted, now_abs, "crash")
                 fault_scale = fault_state.multipliers_at(now_rel)
             fn_in_flight = in_flight_by_fn.get(fname, 0)
-            record = simulate(
-                fname,
-                request.payload,
-                request.trigger,
-                request.payload_bytes,
-                concurrency=fn_in_flight + 1,
-                start_at=now_abs,
-                request_index=position,
-                fault_scale=fault_scale,
+            lane, start_type, values, container_id, output, output_bytes = dispatch(
+                fname, request.payload, request.trigger, request.payload_bytes,
+                fn_in_flight + 1, now_abs, fault_scale,
             )
-            if (
-                hedge is not None
-                and sync
-                and record.finished_at - now_abs > hedge.delay_s
-            ):
+            dispatched_at = now_abs
+            finished_at = now_abs + values[2]
+            cost = values[7:11]
+            hedges = 0
+            if hedge is not None and sync and finished_at - now_abs > hedge.delay_s:
                 # The primary will still be running when the hedge timer
                 # fires: the client sends one duplicate.  First completion
                 # wins; the loser still occupies its sandbox to its own
@@ -938,74 +1018,63 @@ class WorkloadEngine:
                 # are billed.  The duplicate rides its primary's fault view
                 # — crashes and storm multipliers as of the dispatch
                 # instant — keeping the pair a single scheduling decision.
-                duplicate = simulate(
-                    fname,
-                    request.payload,
-                    request.trigger,
-                    request.payload_bytes,
-                    concurrency=fn_in_flight + 2,
-                    start_at=now_abs + hedge.delay_s,
-                    request_index=position,
-                    fault_scale=fault_scale,
+                duplicate_at = now_abs + hedge.delay_s
+                duplicate = dispatch(
+                    fname, request.payload, request.trigger, request.payload_bytes,
+                    fn_in_flight + 2, duplicate_at, fault_scale,
                 )
-                if duplicate.finished_at < record.finished_at:
-                    winner, loser = duplicate, record
+                duplicate_finished_at = duplicate_at + duplicate[2][2]
+                cost = _add_costs(cost, duplicate[2][7:11])
+                hedges = 1
+                if duplicate_finished_at < finished_at:
+                    loser = (finished_at, container_id)
+                    lane, start_type, values, container_id, output, output_bytes = duplicate
+                    dispatched_at, finished_at = duplicate_at, duplicate_finished_at
                 else:
-                    winner, loser = record, duplicate
+                    loser = (duplicate_finished_at, duplicate[3])
                 # The loser's completion releases its sandbox but is not a
                 # logical request (counted=False) and carries no breaker
                 # evidence — the client only observes the winning response.
-                heapq.heappush(
-                    completions,
-                    (loser.finished_at, next(sequence), fname, loser.container_id, False, None),
-                )
-                if loser.finished_at > last_finish:
-                    last_finish = loser.finished_at
-                record = replace(
-                    winner,
-                    admitted_at=now_abs,
-                    cost=record.cost + duplicate.cost,
-                    hedges=1,
-                )
-            if attempts > 1 or first_submitted_abs != record.submitted_at:
+                heapq.heappush(completions, (loser[0], next(sequence), fname, loser[1], False, None))
+                if loser[0] > last_finish:
+                    last_finish = loser[0]
+            submitted_at, client_time_s, admission_delay_s = dispatched_at, values[2], 0.0
+            if attempts > 1 or first_submitted_abs != dispatched_at:
                 # Retried, queue-delayed or hedge-won-by-duplicate: the
                 # client's clock started at the original submission, not at
                 # the attempt that produced the winning response.
-                record = replace(
-                    record,
-                    submitted_at=first_submitted_abs,
-                    client_time_s=record.finished_at - first_submitted_abs,
-                    attempts=attempts,
-                    admission_delay_s=now_abs - first_submitted_abs,
-                )
+                submitted_at = first_submitted_abs
+                client_time_s = finished_at - first_submitted_abs
+                admission_delay_s = now_abs - first_submitted_abs
+            error = values[11]
+            success = error is None
             stale = (
                 stale_after_s is not None
                 and sync
                 and now_abs - first_submitted_abs > stale_after_s
             )
-            if stale and record.success:
+            if stale and success:
                 # Admitted past the client deadline: the work ran and is
                 # billed, but nobody was waiting for the answer.
-                record = replace(
-                    record,
-                    success=False,
-                    outcome=InvocationOutcome.FAILED,
-                    error="stale",
-                )
+                success, error = False, "stale"
             signal = None
             if state.breaker is not None and sync:
-                signal = _SIG_SUCCESS if record.success else _SIG_FAILURE
+                signal = _SIG_SUCCESS if success else _SIG_FAILURE
             # Same bookkeeping as the inline arrival path in the loop below.
             in_flight_by_fn[fname] = fn_in_flight + 1
             in_flight_total += 1
             heapq.heappush(
-                completions,
-                (record.finished_at, next(sequence), fname, record.container_id, True, signal),
+                completions, (finished_at, next(sequence), fname, container_id, True, signal)
             )
             if in_flight_total > peak:
                 peak = in_flight_total
-            if record.finished_at > last_finish:
-                last_finish = record.finished_at
+            if finished_at > last_finish:
+                last_finish = finished_at
+            if carried is not None:
+                # A resubmission saga: the executions the client already
+                # timed out on are billed with this one.
+                cost = _add_costs(cost, carried[0])
+                hedges += carried[1]
             if stale and client_policy is not None:
                 # The client's per-attempt timeout already fired: from its
                 # point of view this attempt failed, so it retries — while
@@ -1019,11 +1088,6 @@ class WorkloadEngine:
                 # escape hatch.
                 delay = client_policy.next_delay(attempts, state.client_retry_stream.resolve())
                 if delay is not None:
-                    carried_cost = record.cost
-                    carried_hedges = record.hedges
-                    if carried is not None:
-                        carried_cost = carried[0] + carried_cost
-                        carried_hedges += carried[1]
                     heapq.heappush(
                         retries,
                         (
@@ -1033,11 +1097,16 @@ class WorkloadEngine:
                             position,
                             first_submitted_abs - base,
                             attempts,
-                            (carried_cost, carried_hedges),
+                            (cost, hedges),
                         ),
                     )
-                    return None
-            return _fold_carried(record, carried)
+                    return
+            terminal(
+                fname, _COMPLETED_OUTCOME if success else _FAILED_OUTCOME, success, start_type,
+                submitted_at, finished_at, client_time_s, cost[0] + cost[1] + cost[2] + cost[3],
+                attempts, admission_delay_s, hedges, position, error, cost,
+                (lane.meta, values, container_id, dispatched_at, now_abs, output, output_bytes),
+            )
 
         def drain_queue(fname: str, now_abs: float) -> None:
             """Admit (or age-drop) spilled requests of ``fname`` at ``now_abs``."""
@@ -1054,27 +1123,15 @@ class WorkloadEngine:
             while len(queue):
                 if queue.head_expired(now_abs):
                     entry = queue.pop()
-                    out.append(
-                        platform._overload_record(
-                            fname,
-                            outcome=InvocationOutcome.DROPPED,
-                            submitted_at=entry.enqueued_at,
-                            finished_at=now_abs,
-                            attempts=1,
-                            admission_delay_s=now_abs - entry.enqueued_at,
-                            request_index=entry.position,
-                            error="expired",
-                        )
+                    reject(
+                        fname, _DROPPED_OUTCOME, entry.enqueued_at, now_abs, 1,
+                        now_abs - entry.enqueued_at, entry.position, "expired",
                     )
                     continue
                 if not throttle.try_admit(now_abs, in_flight_by_fn.get(fname, 0)):
                     break
                 entry = queue.pop()
-                record = execute(
-                    entry.request, state, entry.position, now_abs, entry.enqueued_at, 1
-                )
-                if record is not None:  # async: never stale-resubmitted
-                    out.append(record)
+                execute(entry.request, state, entry.position, now_abs, entry.enqueued_at, 1)
             if not len(queue):
                 # Drop drained queues so the feedback-horizon scan stays
                 # O(functions currently spilling), not O(ever spilled).
@@ -1136,7 +1193,7 @@ class WorkloadEngine:
             request: InvocationRequest, state: _FunctionRuntimeState,
             position: int, now_rel: float,
             first_rel: float, attempts: int,
-            carried: tuple[CostBreakdown, int] | None = None,
+            carried: tuple[tuple, int] | None = None,
         ) -> None:
             """Process one controlled admission attempt at ``now_rel``.
 
@@ -1163,20 +1220,9 @@ class WorkloadEngine:
                     # never sees the request, nothing new is billed, and the
                     # breaker learns nothing from its own rejections (only
                     # probe and pass-through outcomes feed the window).
-                    out.append(
-                        _fold_carried(
-                            platform._overload_record(
-                                fname,
-                                outcome=InvocationOutcome.SHORT_CIRCUITED,
-                                submitted_at=first_abs,
-                                finished_at=now_abs,
-                                attempts=attempts + 1,
-                                admission_delay_s=now_abs - first_abs,
-                                request_index=position,
-                                error="breaker-open",
-                            ),
-                            carried,
-                        )
+                    reject(
+                        fname, _SHORT_CIRCUITED_OUTCOME, first_abs, now_abs, attempts + 1,
+                        now_abs - first_abs, position, "breaker-open", carried,
                     )
                     return
             fault_state = state.fault_state
@@ -1206,20 +1252,9 @@ class WorkloadEngine:
                 if delay is None:
                     if finished_abs > last_finish:
                         last_finish = finished_abs
-                    out.append(
-                        _fold_carried(
-                            platform._overload_record(
-                                fname,
-                                outcome=InvocationOutcome.FAULTED,
-                                submitted_at=first_abs,
-                                finished_at=finished_abs,
-                                attempts=attempts,
-                                admission_delay_s=now_abs - first_abs,
-                                request_index=position,
-                                error=f"outage-{outage.mode}",
-                            ),
-                            carried,
-                        )
+                    reject(
+                        fname, _FAULTED_OUTCOME, first_abs, finished_abs, attempts,
+                        now_abs - first_abs, position, f"outage-{outage.mode}", carried,
                     )
                 else:
                     heapq.heappush(
@@ -1241,11 +1276,7 @@ class WorkloadEngine:
             if throttle is None or throttle.try_admit(
                 now_abs, in_flight_by_fn.get(fname, 0)
             ):
-                record = execute(
-                    request, state, position, now_abs, first_abs, attempts + 1, carried
-                )
-                if record is not None:
-                    out.append(record)
+                execute(request, state, position, now_abs, first_abs, attempts + 1, carried)
             elif request.trigger in ASYNC_TRIGGERS:
                 queue = queues.get(fname)
                 if queue is None and overload.admission_queue_depth > 0:
@@ -1255,18 +1286,7 @@ class WorkloadEngine:
                 # depth 0 disables queueing entirely — never materialise a
                 # queue (it would leak: drain-time pruning never sees it).
                 if queue is None or not queue.push(QueuedInvocation(now_abs, position, request)):
-                    out.append(
-                        platform._overload_record(
-                            fname,
-                            outcome=InvocationOutcome.DROPPED,
-                            submitted_at=now_abs,
-                            finished_at=now_abs,
-                            attempts=1,
-                            admission_delay_s=0.0,
-                            request_index=position,
-                            error="queue-full",
-                        )
-                    )
+                    reject(fname, _DROPPED_OUTCOME, now_abs, now_abs, 1, 0.0, position, "queue-full")
             else:
                 attempts += 1  # this attempt was 429'd
                 response_s = platform._throttle_response_s(request.trigger)
@@ -1284,20 +1304,9 @@ class WorkloadEngine:
                     finished_abs = now_abs + response_s
                     if finished_abs > last_finish:
                         last_finish = finished_abs
-                    out.append(
-                        _fold_carried(
-                            platform._overload_record(
-                                fname,
-                                outcome=InvocationOutcome.THROTTLED,
-                                submitted_at=first_abs,
-                                finished_at=finished_abs,
-                                attempts=attempts,
-                                admission_delay_s=now_abs - first_abs,
-                                request_index=position,
-                                error="throttled",
-                            ),
-                            carried,
-                        )
+                    reject(
+                        fname, _THROTTLED_OUTCOME, first_abs, finished_abs, attempts,
+                        now_abs - first_abs, position, "throttled", carried,
                     )
                 else:
                     heapq.heappush(
@@ -1427,29 +1436,31 @@ class WorkloadEngine:
                 # Uncontrolled arrival: admitted unconditionally, executed
                 # and pushed without leaving the loop.
                 fn_in_flight = in_flight_by_fn.get(fname, 0)
-                record = simulate(
-                    fname,
-                    request.payload,
-                    request.trigger,
-                    request.payload_bytes,
-                    concurrency=fn_in_flight + 1,
-                    start_at=now_abs,
-                    request_index=position,
+                lane, start_type, values, container_id, output, output_bytes = dispatch(
+                    fname, request.payload, request.trigger, request.payload_bytes,
+                    fn_in_flight + 1, now_abs,
                 )
+                finished_at = now_abs + values[2]
                 in_flight_by_fn[fname] = fn_in_flight + 1
                 in_flight_total += 1
                 heapq.heappush(
-                    completions,
-                    (record.finished_at, next(sequence), fname, record.container_id, True, None),
+                    completions, (finished_at, next(sequence), fname, container_id, True, None)
                 )
                 if in_flight_total > peak:
                     peak = in_flight_total
-                if record.finished_at > last_finish:
-                    last_finish = record.finished_at
+                if finished_at > last_finish:
+                    last_finish = finished_at
+                error = values[11]
+                success = error is None
+                terminal(
+                    fname, _COMPLETED_OUTCOME if success else _FAILED_OUTCOME, success, start_type,
+                    now_abs, finished_at, values[2], values[7] + values[8] + values[9] + values[10],
+                    1, 0.0, 0, position, error, values[7:11],
+                    (lane.meta, values, container_id, now_abs, now_abs, output, output_bytes),
+                )
                 if out:
                     yield from out
                     out.clear()
-                yield record
 
             # Input exhausted: run the remaining completions to drain the
             # admission queues.  Progress is guaranteed — a completion always
@@ -1496,7 +1507,7 @@ class WorkloadEngine:
         """
         platform = self.platform
         sink = [] if keep_records else _ReplayAccumulator()
-        add = sink.append if keep_records else sink.add
+        add = sink.append if keep_records else sink.add_record
         if emit is not None:
             sink_add = add
 
@@ -1505,8 +1516,14 @@ class WorkloadEngine:
                 sink_add(record)
 
         if platform._controlled_replay or platform.execute_kernels:
-            for record in self.stream(requests, positions):
-                add(record)
+            if keep_records or emit is not None:
+                for record in self.stream(requests, positions):
+                    add(record)
+            else:
+                # Nobody reads records: the loop folds each terminal outcome
+                # from its values, and never yields.
+                for _ in self._run(requests, positions, sink.add, []):
+                    pass
             return sink
         from ..columnar import engine as columnar
 

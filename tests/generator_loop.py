@@ -31,7 +31,7 @@ def generator_run(platform, requests, keep_records=True, observer=None, position
     engine = WorkloadEngine(platform)
     records = []
     accumulator = _ReplayAccumulator()
-    add = records.append if keep_records else accumulator.add
+    add = records.append if keep_records else accumulator.add_record
     wall_start = time.perf_counter()
     platform._observer = observer
     try:

@@ -363,10 +363,12 @@ class TestSingleFastPath:
 
     @pytest.fixture(autouse=True)
     def _forbid_generator_loop(self, monkeypatch):
-        def forbidden(self, requests, positions=None):
-            raise AssertionError("batch replay entered WorkloadEngine.stream")
+        def forbidden(self, *args):
+            raise AssertionError("batch replay entered the generator loop")
 
-        monkeypatch.setattr(WorkloadEngine, "stream", forbidden)
+        # The loop itself: stream() wraps it, and a streaming controlled
+        # replay runs it directly.
+        monkeypatch.setattr(WorkloadEngine, "_run", forbidden)
 
     @pytest.mark.parametrize("keep_records", (True, False))
     def test_serial_run_workload(self, keep_records):

@@ -615,7 +615,7 @@ def _apply(rows: _ReplayAccumulator, objects: _ObjectAccumulator, op, prefix: st
             submitted_at=submitted,
             finished_at=submitted + client,
         )
-        rows.add(record)
+        rows.add_record(record)
         objects.add(record)
         return
     _, fn, size, seed = op

@@ -25,6 +25,7 @@ import pytest
 from repro.config import Provider, SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import deploy_benchmark
+from repro.faas.invocation import InvocationRecord
 from repro.parallel import PlatformSnapshot, ShardPlanner
 from repro.population import PopulationSpec, replay_population
 from repro.simulator.providers import create_platform
@@ -34,6 +35,7 @@ from repro.workload import (
     PoissonArrivals,
     WorkloadTrace,
 )
+from repro.workload.engine import WorkloadEngine, _ReplayAccumulator, streaming_result
 from repro.workload.scenario import standard_scenario
 from repro.workflows import standard_workflow, synthesize_workflow_arrivals
 from repro.workflows.spec import merge_workflow_arrivals
@@ -593,6 +595,37 @@ def test_fault_storm_records_and_streaming_agree():
         + records.short_circuited_count
         == records.invocations
     )
+    # The value fold of a streaming replay equals folding the records the
+    # generator loop yields, in yield order, bit for bit.
+    engine = WorkloadEngine(_chaos_platform(Provider.AWS))
+    folded = _ReplayAccumulator()
+    for record in engine.stream(trace):
+        folded.add_record(record)
+    assert repr(
+        streaming_result(Provider.AWS, folded, streaming.wall_clock_s, engine.last_peak_in_flight)
+    ) == repr(streaming)
+
+
+def test_controlled_replay_builds_each_record_once(monkeypatch):
+    """Hedges, retries, queueing, staleness and rejections compute their
+    final fields first: a streaming replay builds no record, a
+    record-keeping one exactly one per request."""
+    builds = []
+    build = InvocationRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(None)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(InvocationRecord, "__init__", counted)
+    trace = _chaos_trace()
+    streaming = _chaos_platform(Provider.AWS).run_workload(trace, keep_records=False)
+    assert streaming.hedge_count and streaming.queued_count and streaming.retry_count
+    assert streaming.faulted_count and streaming.short_circuited_count
+    assert builds == []
+    records = _chaos_platform(Provider.AWS).run_workload(trace)
+    assert any(record.error == "stale" for record in records.records)
+    assert len(builds) == records.invocations == len(trace)
 
 
 @pytest.mark.slow

@@ -319,6 +319,24 @@ class TestIaaS:
         cloud_times = [cloud.invoke(cloud_fname, payload={}).provider_time_s for _ in range(20)]
         assert np.median(cloud_times) > np.median(local_times)
 
+    def test_vm_heap_stays_bounded_over_sequential_invokes(self):
+        """Each invoke consumes the VM's MRU entry instead of stacking one
+        more; the records match the scan-only acquisition exactly."""
+
+        def invoke_1000(pick: bool):
+            platform = IaaSPlatform(simulation=SimulationConfig(seed=3))
+            fname = deploy_benchmark(platform, "dynamic-html", memory_mb=1024)
+            pool = platform._state[fname].pool
+            if not pick:
+                pool.pick_mru = lambda version: None
+            return [platform.invoke(fname, payload={}) for _ in range(1000)], pool
+
+        records, pool = invoke_1000(pick=True)
+        assert len(pool.all_containers()) == 1
+        assert sum(len(heap) for heap in pool._mru.values()) <= 2
+        scanned, _ = invoke_1000(pick=False)
+        assert records == scanned
+
     def test_hourly_cost_matches_t2_micro(self, simulation):
         assert IaaSPlatform(simulation=simulation).hourly_cost() == pytest.approx(0.0116)
 
