@@ -106,7 +106,7 @@ def test_workload_columnar_throughput_100k(benchmark):
     """Columnar streaming replay of the 100k trace: >= 3x scalar, >= 90k/s.
 
     The same trace is replayed through the generator loop
-    (``WorkloadEngine.stream`` folded into a streaming accumulator) as the
+    (``WorkloadEngine._run`` folded into a streaming accumulator) as the
     in-process reference — the speedup ratio is container-noise-robust in a
     way absolute figures are not — and the two streaming aggregates are
     asserted identical before any throughput claim.  Each side is timed as

@@ -72,24 +72,28 @@ def emit_bench_json(path, payload):
 def generator_loop(platform, trace, keep_records: bool = True):
     """Replay an uncontrolled ``trace`` through the generator loop.
 
-    Folds ``WorkloadEngine.stream`` — the reference the batch replay (the
-    columnar engine) is checked and timed against — into a
+    Folds the records of ``WorkloadEngine._run`` — the reference the batch
+    replay (the columnar engine) is checked and timed against; ``stream()``
+    would pick the columnar loop itself for an uncontrolled trace — into a
     ``WorkloadResult``.  Uncontrolled records come out in arrival order.
     """
     import time
 
     from repro.workload.engine import (
         WorkloadEngine,
+        _record_builder,
         _ReplayAccumulator,
         record_result,
         streaming_result,
     )
 
     engine = WorkloadEngine(platform)
+    out = []
+    records = engine._run(trace, None, _record_builder(platform, out.append), out)
     start = time.perf_counter()
     if not keep_records:
         accumulator = _ReplayAccumulator()
-        for record in engine.stream(trace):
+        for record in records:
             accumulator.add_record(record)
         return streaming_result(
             platform.provider,
@@ -97,10 +101,9 @@ def generator_loop(platform, trace, keep_records: bool = True):
             wall_clock_s=time.perf_counter() - start,
             peak_in_flight=engine.last_peak_in_flight,
         )
-    records = list(engine.stream(trace))
     return record_result(
         platform.provider,
-        records,
+        list(records),
         wall_clock_s=time.perf_counter() - start,
         peak_in_flight=engine.last_peak_in_flight,
     )

@@ -28,7 +28,7 @@ Four checks:
 * a columnar-equivalence gate (:mod:`repro.columnar`): the 10k trace
   replayed through the batch entry point (the vectorized hot path) must
   produce record lists and streaming aggregates bit-identical to the
-  generator loop (``WorkloadEngine.stream``) — serially and sharded —
+  generator loop (``WorkloadEngine._run``) — serially and sharded —
   while streaming clearly faster than it.
 
 The thresholds are deliberately loose — the point is to catch order-of-

@@ -1,19 +1,19 @@
 """The vectorized (columnar) trace-replay hot loop.
 
-One flat loop runs every batch replay
-:meth:`~repro.workload.engine.WorkloadEngine.replay` can hand it: no
-overload admission, no fault plane, no client resilience, no kernel
-execution.  The completion heap, the provider log, the sinks and the
-acquisition order (eviction apply, spurious cold start, pick or create) are
-inlined; every pool operation is a
-:class:`~repro.simulator.containers.ContainerPool` method, the same calls
-the generator loop makes.  The invocation itself — draws, reliability
-gates, delays and billing — is :func:`repro.simulator.step.invoke_step`,
-the step the generator loop
-(:meth:`~repro.workload.engine.WorkloadEngine.stream`) calls too.
-Everything a record shares with its function — CPU share, jitter
-parameters, storage transfer bases, billing constants, reliability gates —
-is compiled by the models themselves once per function *class*
+One flat loop runs every replay with no overload admission, no fault
+plane, no client resilience and no kernel execution — batch replays
+(:meth:`~repro.workload.engine.WorkloadEngine.replay`) and record streams
+(:meth:`~repro.workload.engine.WorkloadEngine.stream`) alike.  The
+completion heap, the provider log, the sinks and the acquisition order
+(eviction apply, spurious cold start, pick or create) are inlined; every
+pool operation is a :class:`~repro.simulator.containers.ContainerPool`
+method, the same calls the generator loop makes.  The invocation itself —
+draws, reliability gates, delays and billing — is
+:func:`repro.simulator.step.invoke_step`, the step the generator loop
+(``WorkloadEngine._run``) calls too.  Everything a record shares with its
+function — CPU share, jitter parameters, storage transfer bases, billing
+constants, reliability gates — is compiled by the models themselves once
+per function *class*
 (:class:`~repro.simulator.platform_sim.FunctionClass`, cached on the
 platform) and copied into each function's :class:`_Lane` (see
 :func:`_build_lane`), which both loops hand to the step.
@@ -32,27 +32,31 @@ streaming summaries, provider logs, pool state and the clock are
 bit-identical to the generator loop — the differential tier in
 ``tests/test_columnar_equivalence.py`` asserts it.
 
-Three sink modes share the loop:
+The loop is a generator with two sinks:
 
-* **record** — one row per invocation appends to a
-  :class:`~repro.columnar.records.ColumnarRecordBlock`; record objects are
-  materialised lazily after the loop (``keep_records=True``);
+* **rows** — it yields one row per invocation, ``(meta, request index,
+  submitted_at, cold, container_id, step values)``, where ``meta`` is the
+  function's :class:`~repro.columnar.records.LaneMeta`.  Record mode keeps
+  the rows in a :class:`~repro.columnar.records.ColumnarRecordBlock`
+  (:func:`replay_collect`) and materialises records lazily after the loop;
+  :meth:`~repro.workload.engine.WorkloadEngine.stream` maps each row to its
+  record as it comes (:func:`replay_records`);
 * **fold** — per-lane counters and buffers fold in batches into the rows
   of a :class:`~repro.workload.engine._ReplayAccumulator`
   (:meth:`~repro.workload.engine._ReplayAccumulator.add_many`) without ever
-  creating a record (``keep_records=False``);
-* **emit** — an attached observer needs the record object and its hooks in
-  stream order, so records are built inline and handed to a callback.
+  creating a record; the loop yields nothing (:func:`replay_fold`).
 
 Provider-log entries are buffered as arrays and materialised into
-``state.history`` once, after the loop (bounded by ``log_retention``).
+``state.history`` once, when the loop ends or is closed (bounded by
+``log_retention``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterable
+from contextlib import closing
+from typing import Iterable, Iterator
 
 from ..config import StartType, TriggerType
 from ..exceptions import ConfigurationError
@@ -61,9 +65,9 @@ from ..simulator.compute import CompiledCompute
 from ..simulator.containers import Container
 from ..simulator.platform_sim import CompiledOverhead, SimulatedPlatform, _LogEntry
 from ..simulator.reliability import CompiledReliability
-from ..simulator.step import invocation_record, invoke_step, upload_time
+from ..simulator.step import invoke_step, upload_time
 from ..workload.engine import _ReplayAccumulator
-from .records import ColumnarRecordBlock, LaneMeta
+from .records import ColumnarRecordBlock, LaneMeta, records_of
 
 _HTTP = TriggerType.HTTP
 _COLD = StartType.COLD
@@ -128,8 +132,7 @@ class _Lane:
         # invocation, materialised into ``history`` (the state's deque)
         "history",
         "log",
-        # sink state
-        "lane_idx",
+        # fold-sink state
         "slot",
         "n_cold",
         "n_fail",
@@ -201,7 +204,6 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.history = state.history
     lane.log = []
 
-    lane.lane_idx = -1
     lane.slot = -1
     lane.n_cold = 0
     lane.n_fail = 0
@@ -243,14 +245,13 @@ def _replay(
     engine,
     requests: Iterable,
     positions: Iterable[int] | None,
-    block: ColumnarRecordBlock | None,
-    accumulator: _ReplayAccumulator | None,
-    emit: Callable | None,
-) -> None:
-    """The flat columnar loop.  Exactly one sink must be active:
+    accumulator: _ReplayAccumulator | None = None,
+) -> Iterator[tuple]:
+    """The flat columnar loop: yields one row per invocation, or with an
+    ``accumulator`` folds into it and yields nothing.
 
-    ``block`` (record mode), ``accumulator`` (fold mode) or ``emit``
-    (observer mode, records built inline and passed to the callback).
+    Closing the generator early releases every sandbox still reserved and
+    flushes the provider log of the requests replayed so far.
     """
     platform = engine.platform
     clock = platform.clock
@@ -281,10 +282,7 @@ def _replay(
     peak = 0
     engine.last_peak_in_flight = 0
 
-    record_mode = block is not None
     fold_mode = accumulator is not None
-    if record_mode:
-        add_row = block.rows.append
 
     try:
         for request in requests:
@@ -312,9 +310,7 @@ def _replay(
             lane = lanes.get(fname)
             if lane is None:
                 lane = lanes[fname] = _build_lane(platform, fname)
-                if record_mode:
-                    lane.lane_idx = block.add_lane(lane.meta)
-                elif fold_mode:
+                if fold_mode:
                     lane.slot = accumulator.slot(lane.fname)
 
             # Before acquisition, as in the generator loop: a payload that
@@ -383,9 +379,9 @@ def _replay(
             request_index = next(position_iter)
 
             # ---- sink ----------------------------------------------------
-            if record_mode:
-                add_row((lane.lane_idx, request_index, now, cold, container_id, values))
-            elif fold_mode:
+            if not fold_mode:
+                yield lane.meta, request_index, now, cold, container_id, values
+            else:
                 if accumulator.first_submitted is None:
                     accumulator.first_submitted = now
                 if cold:
@@ -401,13 +397,6 @@ def _replay(
                     lane.n_cold = lane.n_fail = 0
                     lane.cost_buf = []
                     lane.client_buf = []
-            else:
-                emit(
-                    invocation_record(
-                        lane.meta, _COLD if cold else _WARM, values, container_id,
-                        now, request_index, {}, lane.meta.output_bytes,
-                    )
-                )
 
         if last_finish > clock.now():
             clock.advance_to(last_finish)
@@ -429,16 +418,20 @@ def _replay(
 
 def replay_collect(engine, requests, positions=None) -> ColumnarRecordBlock:
     """Record mode: replay into a columnar block (no record objects yet)."""
-    block = ColumnarRecordBlock()
-    _replay(engine, requests, positions, block, None, None)
-    return block
+    return ColumnarRecordBlock(list(_replay(engine, requests, positions)))
+
+
+def replay_records(engine, requests, positions=None) -> Iterator:
+    """Each row as its record, as the loop yields it (:meth:`WorkloadEngine.stream`).
+
+    Closing the iterator closes the loop.
+    """
+    rows = _replay(engine, requests, positions)
+    with closing(rows):
+        yield from records_of(rows)
 
 
 def replay_fold(engine, requests, accumulator: _ReplayAccumulator, positions=None) -> None:
     """Fold mode: replay straight into a streaming accumulator."""
-    _replay(engine, requests, positions, None, accumulator, None)
-
-
-def replay_emit(engine, requests, emit: Callable, positions=None) -> None:
-    """Observer mode: build records inline, hand each to ``emit``."""
-    _replay(engine, requests, positions, None, None, emit)
+    for _ in _replay(engine, requests, positions, accumulator):
+        pass

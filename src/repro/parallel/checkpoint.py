@@ -44,8 +44,8 @@ from .snapshot import PlatformSnapshot
 #: the pickled layout of an outcome does (2: reservoirs defer their tags;
 #: 3: streaming accumulators pickle as row-form flat arrays; 4: trace
 #: outcomes carry one ``sink`` field; 5: record-mode sinks keep one row of
-#: step values per invocation).
-_FORMAT_VERSION = 5
+#: step values per invocation; 6: record-mode rows carry their LaneMeta).
+_FORMAT_VERSION = 6
 
 _CHECKPOINT_NAME = re.compile(r"^shard_(\d{5})\.ckpt$")
 

@@ -70,8 +70,9 @@ class TraceShardOutcome:
     #: Exactly what :meth:`~repro.workload.engine.WorkloadEngine.replay`
     #: returned: the record list or a
     #: :class:`~repro.columnar.records.ColumnarRecordBlock` in record mode
-    #: (records carry their global ``request_index``; a block is
-    #: materialised by the parent after the merge), the
+    #: (records and rows carry their global ``request_index``; a block's
+    #: rows, each with its function's ``LaneMeta``, are materialised by
+    #: the parent after the merge), the
     #: :class:`~repro.workload.engine._ReplayAccumulator` in streaming mode.
     sink: list[InvocationRecord] | ColumnarRecordBlock | _ReplayAccumulator
     peak_in_flight: int

@@ -163,8 +163,10 @@ class _FunctionRuntimeState:
     input_size: InputSize = InputSize.SMALL
     history: deque[_LogEntry] = field(default_factory=deque)
     klass: FunctionClass | None = None
-    #: The generator loop's lane of this function (see
-    #: :func:`repro.columnar.engine._build_lane`); reset with ``klass``.
+    #: The lane direct invocations and the generator loop (controlled and
+    #: kernel replays) dispatch on (see
+    #: :func:`repro.columnar.engine._build_lane`); reset with ``klass``.  The
+    #: columnar loop builds its own per replay.
     lane: Any = None
     #: Admission gate (:class:`repro.concurrency.FunctionThrottle`); ``None``
     #: when the overload model is disabled — the engine then admits
@@ -258,9 +260,10 @@ class SimulatedPlatform(FaaSPlatform):
                     base_delay_s=self._resilience.retry_base_delay_s,
                     max_delay_s=self._resilience.retry_max_delay_s,
                 )
-        #: Whether batch replay must take the generator loop
-        #: (``WorkloadEngine.stream``) instead of the columnar one: overload
+        #: Whether replays must take the generator loop
+        #: (``WorkloadEngine._run``) instead of the columnar one: overload
         #: admission, fault injection or client resilience is active.
+        #: ``WorkloadEngine._generator_loop`` adds kernel execution.
         self._controlled_replay = (
             self._overload is not None
             or self._faults is not None

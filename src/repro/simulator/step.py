@@ -5,12 +5,14 @@ handles, see :func:`repro.columnar.engine._build_lane`) and the sandbox
 decision already made, :func:`invoke_step` samples and prices one
 invocation.  The generator loop
 (:meth:`~repro.simulator.platform_sim.SimulatedPlatform._dispatch_invocation`)
-and the columnar loop (:mod:`repro.columnar.engine`) both call it; they
-differ only in how they schedule invocations and where the values go.
-A record of one invocation's values — built by ``invoke``/``invoke_batch``,
-by the columnar loop's observer mode and by
-:meth:`~repro.columnar.records.ColumnarRecordBlock.materialize` — comes
-from :func:`invocation_record`.  The generator loop's terminal outcomes
+and the columnar loop (:mod:`repro.columnar.engine`) both call it: the
+generator loop for controlled and kernel replays, the columnar loop for
+every other one.  They differ only in how they schedule invocations and
+where the values go.
+A record of one invocation's values — built by ``invoke``/``invoke_batch``
+and, from the columnar loop's rows, by
+:func:`~repro.columnar.records.records_of` — comes from
+:func:`invocation_record`.  The generator loop's terminal outcomes
 add client-side fields (retry and queue delay, hedge pair, staleness,
 carried cost); its record builder
 (:func:`repro.workload.engine._record_builder`) builds those records from

@@ -835,6 +835,16 @@ class WorkloadEngine:
         fn = self._horizon_fn
         return fn() if fn is not None else None
 
+    @property
+    def _generator_loop(self) -> bool:
+        """Whether replays take the generator loop (:meth:`_run`).
+
+        Controlled replays (overload, faults, resilience) and kernel
+        execution do; every other replay runs on the columnar loop
+        (:mod:`repro.columnar.engine`).
+        """
+        return self.platform._controlled_replay or self.platform.execute_kernels
+
     def stream(
         self,
         requests: Iterable[InvocationRequest],
@@ -842,15 +852,19 @@ class WorkloadEngine:
     ) -> Iterator[InvocationRecord]:
         """Replay ``requests`` lazily, yielding one record per request.
 
-        The generator loop: it runs ``invoke_stream``, the workflow engine's
-        feedback source, kernel mode and every controlled replay (overload,
-        faults, resilience).  Requests must arrive in non-decreasing
-        ``submitted_at`` order
+        Behind ``invoke_stream``, the workflow engine's feedback source and
+        every record-keeping or observed :meth:`replay`.  A controlled or
+        kernel replay runs on the generator loop (:meth:`_run`), every
+        other one on the columnar loop, whose rows become records as they
+        come; both yield the same records.  Requests must arrive in
+        non-decreasing ``submitted_at`` order
         (:class:`~repro.workload.trace.WorkloadTrace` guarantees this).
         Timestamps are relative: request time 0 is the platform clock's
         position when the stream starts.  When the stream is exhausted the
         clock is advanced to the last completion, so a subsequent
         ``warm_container_count`` or ``invoke`` sees the post-workload state.
+        On the columnar loop the provider log (``query_logs``) receives the
+        stream's entries when the stream ends or is closed.
 
         ``positions`` overrides the default ``0, 1, 2, ...`` numbering of
         requests (one index per request, in consumption order); each record
@@ -861,8 +875,12 @@ class WorkloadEngine:
         retried or queued request's record appears after later arrivals
         that resolved first; ``request_index`` recovers arrival order.
         """
-        out: list[InvocationRecord] = []
-        return self._run(requests, positions, _record_builder(self.platform, out.append), out)
+        if self._generator_loop:
+            out: list[InvocationRecord] = []
+            return self._run(requests, positions, _record_builder(self.platform, out.append), out)
+        from ..columnar import engine as columnar
+
+        return columnar.replay_records(self, requests, positions)
 
     def _run(
         self,
@@ -871,7 +889,7 @@ class WorkloadEngine:
         terminal: Callable[..., None],
         out: list[InvocationRecord],
     ) -> Iterator[InvocationRecord]:
-        """The generator loop behind :meth:`stream` and the controlled :meth:`replay`.
+        """The generator loop behind every controlled or kernel :meth:`stream` and :meth:`replay`.
 
         Each request's terminal outcome is computed in full — hedge pair,
         retry and queue delay, staleness, a resubmission saga's carried
@@ -913,12 +931,12 @@ class WorkloadEngine:
         Every control hangs off a per-function value (``state.throttle``,
         ``state.fault_state``, ``state.breaker``) or a platform value
         (hedge, staleness deadline, client retry policy) that is ``None``
-        when the feature is off.  An arrival with none of them is admitted,
-        executed and pushed inline; every other attempt goes through
-        ``handle``.  Everything that orders a single function's events —
-        its arrivals, its retries, its completions, its queue, its breaker
-        and fault schedule — is derived from that function's own history,
-        so a controlled replay shards exactly like an uncontrolled one.
+        when the feature is off; every attempt goes through ``handle``,
+        which admits and executes one with none of them.  Everything that
+        orders a single function's events — its arrivals, its retries, its
+        completions, its queue, its breaker and fault schedule — is derived
+        from that function's own history, so a controlled replay shards
+        exactly like an uncontrolled one.
         """
         platform = self.platform
         observer = platform._observer
@@ -927,9 +945,6 @@ class WorkloadEngine:
         hedge = platform._hedge
         stale_after_s = platform._stale_after_s
         client_policy = platform._client_retry_policy
-        # Hedging and the staleness deadline act on every synchronous
-        # attempt, so with either configured no arrival is executed inline.
-        inline_ok = hedge is None and stale_after_s is None
         states = platform._state
         dispatch = platform._dispatch_invocation
         clock = platform.clock
@@ -975,6 +990,42 @@ class WorkloadEngine:
                 fname, outcome, False, _NO_START, submitted_at, finished_at,
                 finished_at - submitted_at, cost[0] + cost[1] + cost[2] + cost[3],
                 attempts, admission_delay_s, hedges, position, error, cost, None,
+            )
+
+        def refused(
+            request: InvocationRequest, position: int, first_rel: float, attempts: int,
+            carried: tuple[tuple, int] | None, now_rel: float, response_s: float,
+            delay: float | None, signal: int | None = None,
+            outcome: InvocationOutcome | None = None, error: str = "",
+        ) -> None:
+            """The tail of an attempt the client saw refused at ``now_rel + response_s``.
+
+            ``signal`` is the breaker evidence the response carries, if any,
+            delivered at the response instant by a container-less completion
+            event.  With a retry ``delay`` the next attempt is due that long
+            after the response; without one the request resolves as
+            ``outcome``.
+            """
+            nonlocal last_finish
+            fname = request.function_name
+            finished_abs = base + now_rel + response_s
+            if signal is not None:
+                heapq.heappush(completions, (finished_abs, next(sequence), fname, "", False, signal))
+            if delay is not None:
+                heapq.heappush(
+                    retries,
+                    (
+                        now_rel + response_s + delay, next(retry_sequence), request, position,
+                        first_rel, attempts, carried,
+                    ),
+                )
+                return
+            if finished_abs > last_finish:
+                last_finish = finished_abs
+            first_abs = base + first_rel
+            reject(
+                fname, outcome, first_abs, finished_abs, attempts,
+                base + now_rel - first_abs, position, error, carried,
             )
 
         def execute(
@@ -1060,7 +1111,6 @@ class WorkloadEngine:
             signal = None
             if state.breaker is not None and sync:
                 signal = _SIG_SUCCESS if success else _SIG_FAILURE
-            # Same bookkeeping as the inline arrival path in the loop below.
             in_flight_by_fn[fname] = fn_in_flight + 1
             in_flight_total += 1
             heapq.heappush(
@@ -1088,17 +1138,9 @@ class WorkloadEngine:
                 # escape hatch.
                 delay = client_policy.next_delay(attempts, state.client_retry_stream.resolve())
                 if delay is not None:
-                    heapq.heappush(
-                        retries,
-                        (
-                            now_abs - base + delay,
-                            next(retry_sequence),
-                            request,
-                            position,
-                            first_submitted_abs - base,
-                            attempts,
-                            (cost, hedges),
-                        ),
+                    refused(
+                        request, position, first_submitted_abs - base, attempts,
+                        (cost, hedges), now_abs - base, 0.0, delay,
                     )
                     return
             terminal(
@@ -1190,19 +1232,18 @@ class WorkloadEngine:
                         drain_queue(done_fname, finish)
 
         def handle(
-            request: InvocationRequest, state: _FunctionRuntimeState,
-            position: int, now_rel: float,
-            first_rel: float, attempts: int,
-            carried: tuple[tuple, int] | None = None,
+            request: InvocationRequest, position: int, now_rel: float,
+            first_rel: float, attempts: int, carried: tuple[tuple, int] | None = None,
         ) -> None:
-            """Process one controlled admission attempt at ``now_rel``.
-
-            The caller has already released the completions due by then and
-            advanced the clock.
-            """
-            nonlocal last_finish
+            """Release the completions due by ``now_rel``, then process one
+            admission attempt there."""
             now_abs = base + now_rel
+            pop_completions(now_abs)
+            clock.advance_to(now_abs)
             fname = request.function_name
+            state = states.get(fname)
+            if state is None:
+                state = platform._runtime_state(fname)
             first_abs = base + first_rel
             sync = request.trigger not in ASYNC_TRIGGERS
             breaker = state.breaker
@@ -1235,40 +1276,16 @@ class WorkloadEngine:
                     response_s = platform.get_function(fname).config.timeout_s
                 else:
                     response_s = platform._throttle_response_s(request.trigger)
-                finished_abs = now_abs + response_s
-                if breaker is not None and sync:
-                    # The error response reaches the client at
-                    # ``finished_abs``; deliver the breaker verdict there
-                    # via a container-less completion event.
-                    heapq.heappush(
-                        completions,
-                        (finished_abs, next(sequence), fname, "", False, _SIG_FAILURE),
-                    )
                 delay = (
                     client_policy.next_delay(attempts, state.client_retry_stream.resolve())
                     if (sync and client_policy is not None)
                     else None
                 )
-                if delay is None:
-                    if finished_abs > last_finish:
-                        last_finish = finished_abs
-                    reject(
-                        fname, _FAULTED_OUTCOME, first_abs, finished_abs, attempts,
-                        now_abs - first_abs, position, f"outage-{outage.mode}", carried,
-                    )
-                else:
-                    heapq.heappush(
-                        retries,
-                        (
-                            now_rel + response_s + delay,
-                            next(retry_sequence),
-                            request,
-                            position,
-                            first_rel,
-                            attempts,
-                            carried,
-                        ),
-                    )
+                refused(
+                    request, position, first_rel, attempts, carried, now_rel, response_s, delay,
+                    _SIG_FAILURE if breaker is not None and sync else None,
+                    _FAULTED_OUTCOME, f"outage-{outage.mode}",
+                )
                 return
             throttle = state.throttle
             # FIFO fairness: spilled work of this function admits first.
@@ -1289,51 +1306,22 @@ class WorkloadEngine:
                     reject(fname, _DROPPED_OUTCOME, now_abs, now_abs, 1, 0.0, position, "queue-full")
             else:
                 attempts += 1  # this attempt was 429'd
-                response_s = platform._throttle_response_s(request.trigger)
-                if breaker is not None:
-                    # The breaker must see 429s: without them, throttled
-                    # half-open probes would exhaust the probe budget with
-                    # no verdict and wedge the breaker in HALF_OPEN.  The
-                    # throttle code lets it ignore them while CLOSED.
-                    heapq.heappush(
-                        completions,
-                        (now_abs + response_s, next(sequence), fname, "", False, _SIG_THROTTLE),
-                    )
-                delay = policy.next_delay(attempts, state.retry_stream.resolve())
-                if delay is None:
-                    finished_abs = now_abs + response_s
-                    if finished_abs > last_finish:
-                        last_finish = finished_abs
-                    reject(
-                        fname, _THROTTLED_OUTCOME, first_abs, finished_abs, attempts,
-                        now_abs - first_abs, position, "throttled", carried,
-                    )
-                else:
-                    heapq.heappush(
-                        retries,
-                        (
-                            now_rel + response_s + delay,
-                            next(retry_sequence),
-                            request,
-                            position,
-                            first_rel,
-                            attempts,
-                            carried,
-                        ),
-                    )
+                # The breaker must see 429s: without them, throttled
+                # half-open probes would exhaust the probe budget with no
+                # verdict and wedge the breaker in HALF_OPEN.  The throttle
+                # code lets it ignore them while CLOSED.
+                refused(
+                    request, position, first_rel, attempts, carried, now_rel,
+                    platform._throttle_response_s(request.trigger),
+                    policy.next_delay(attempts, state.retry_stream.resolve()),
+                    _SIG_THROTTLE if breaker is not None else None,
+                    _THROTTLED_OUTCOME, "throttled",
+                )
 
         def retry() -> None:
             """Process the earliest due retry attempt."""
-            now_rel, _, request, position, first_rel, attempts, carried = heapq.heappop(
-                retries
-            )
-            now_abs = base + now_rel
-            pop_completions(now_abs)
-            clock.advance_to(now_abs)
-            handle(
-                request, states[request.function_name], position, now_rel, first_rel,
-                attempts, carried,
-            )
+            now_rel, _, request, position, first_rel, attempts, carried = heapq.heappop(retries)
+            handle(request, position, now_rel, first_rel, attempts, carried)
 
         def advance_internal() -> bool:
             """Process the earliest internal event (a REPLENISH pull).
@@ -1416,51 +1404,7 @@ class WorkloadEngine:
                         f"({now_rel:.6f} after {last_submitted:.6f})"
                     )
                 last_submitted = now_rel
-                now_abs = base + now_rel
-                if completions and completions[0][0] <= now_abs:
-                    pop_completions(now_abs)
-                clock.advance_to(now_abs)
-                fname = request.function_name
-                state = states.get(fname)
-                if state is None:
-                    state = platform._runtime_state(fname)
-                position = next(position_iter)
-                if not (
-                    inline_ok
-                    and state.throttle is None
-                    and state.fault_state is None
-                    and state.breaker is None
-                ):
-                    handle(request, state, position, now_rel, now_rel, 0)
-                    continue
-                # Uncontrolled arrival: admitted unconditionally, executed
-                # and pushed without leaving the loop.
-                fn_in_flight = in_flight_by_fn.get(fname, 0)
-                lane, start_type, values, container_id, output, output_bytes = dispatch(
-                    fname, request.payload, request.trigger, request.payload_bytes,
-                    fn_in_flight + 1, now_abs,
-                )
-                finished_at = now_abs + values[2]
-                in_flight_by_fn[fname] = fn_in_flight + 1
-                in_flight_total += 1
-                heapq.heappush(
-                    completions, (finished_at, next(sequence), fname, container_id, True, None)
-                )
-                if in_flight_total > peak:
-                    peak = in_flight_total
-                if finished_at > last_finish:
-                    last_finish = finished_at
-                error = values[11]
-                success = error is None
-                terminal(
-                    fname, _COMPLETED_OUTCOME if success else _FAILED_OUTCOME, success, start_type,
-                    now_abs, finished_at, values[2], values[7] + values[8] + values[9] + values[10],
-                    1, 0.0, 0, position, error, values[7:11],
-                    (lane.meta, values, container_id, now_abs, now_abs, output, output_bytes),
-                )
-                if out:
-                    yield from out
-                    out.clear()
+                handle(request, next(position_iter), now_rel, now_rel, 0)
 
             # Input exhausted: run the remaining completions to drain the
             # admission queues.  Progress is guaranteed — a completion always
@@ -1491,46 +1435,35 @@ class WorkloadEngine:
     ):
         """Replay a whole batch of ``requests`` into a fresh sink; return it.
 
-        The one place that picks the replay loop.  The columnar engine
-        (:mod:`repro.columnar.engine`) runs every replay it can — no
-        controlled replay (overload, faults or resilience) and no kernel
-        execution; the generator loop (:meth:`stream`) runs the rest.  Both
-        produce bit-identical outputs.
-
-        The sink is a :class:`_ReplayAccumulator` with
-        ``keep_records=False``.  With ``keep_records=True`` it is a
+        The loop is the one :meth:`stream` would pick.  The sink is a
+        :class:`_ReplayAccumulator` with ``keep_records=False``.  With
+        ``keep_records=True`` it is a
         :class:`~repro.columnar.records.ColumnarRecordBlock` when the
-        columnar engine ran without ``emit``, else the record list in
-        stream order.  ``emit`` receives each terminal record in stream
-        order before it reaches the sink; ``positions`` is as for
+        columnar loop ran without ``emit``, else the record list in stream
+        order.  ``emit`` receives each terminal record of :meth:`stream` in
+        stream order before it reaches the sink; ``positions`` is as for
         :meth:`stream`.
         """
-        platform = self.platform
-        sink = [] if keep_records else _ReplayAccumulator()
-        add = sink.append if keep_records else sink.add_record
         if emit is not None:
-            sink_add = add
-
-            def add(record: InvocationRecord) -> None:
+            sink = [] if keep_records else _ReplayAccumulator()
+            add = sink.append if keep_records else sink.add_record
+            for record in self.stream(requests, positions):
                 emit(record)
-                sink_add(record)
-
-        if platform._controlled_replay or platform.execute_kernels:
-            if keep_records or emit is not None:
-                for record in self.stream(requests, positions):
-                    add(record)
-            else:
-                # Nobody reads records: the loop folds each terminal outcome
-                # from its values, and never yields.
-                for _ in self._run(requests, positions, sink.add, []):
-                    pass
+                add(record)
             return sink
         from ..columnar import engine as columnar
 
-        if emit is not None:
-            columnar.replay_emit(self, requests, add, positions)
-        elif keep_records:
+        generator_loop = self._generator_loop
+        if keep_records:
+            if generator_loop:
+                return list(self.stream(requests, positions))
             return columnar.replay_collect(self, requests, positions)
+        sink = _ReplayAccumulator()
+        if generator_loop:
+            # Nobody reads records: the loop folds each terminal outcome
+            # from its values, and never yields.
+            for _ in self._run(requests, positions, sink.add, []):
+                pass
         else:
             columnar.replay_fold(self, requests, sink, positions)
         return sink

@@ -3,7 +3,9 @@
 Batch replays (``WorkloadEngine.run``, sharded shards, population shards)
 run the columnar engine whenever :meth:`WorkloadEngine.replay` allows it.
 The reference they are pinned against is the generator loop,
-:meth:`WorkloadEngine.stream`, folded here into the same
+``WorkloadEngine._run`` — called directly, because
+:meth:`WorkloadEngine.stream` itself runs uncontrolled replays on the
+columnar loop — folded here into the same
 :class:`~repro.workload.engine.WorkloadResult` shape by the engine's own
 result builders: ``record_result`` (records sorted back into arrival order
 and folded) or ``streaming_result`` (the accumulator the loop fed), with the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import time
 from repro.workload.engine import (
     WorkloadEngine,
+    _record_builder,
     _ReplayAccumulator,
     record_result,
     streaming_result,
@@ -22,7 +25,7 @@ from repro.workload.engine import (
 
 
 def generator_run(platform, requests, keep_records=True, observer=None, positions=None):
-    """Replay ``requests`` through ``WorkloadEngine.stream`` and fold the result.
+    """Replay ``requests`` through the generator loop and fold the result.
 
     ``observer`` receives ``on_invocation`` per record in stream order and
     is attached to the platform for the replay (container lifecycle and
@@ -35,7 +38,8 @@ def generator_run(platform, requests, keep_records=True, observer=None, position
     wall_start = time.perf_counter()
     platform._observer = observer
     try:
-        for record in engine.stream(requests, positions):
+        out = []
+        for record in engine._run(requests, positions, _record_builder(platform, out.append), out):
             if observer is not None:
                 observer.on_invocation(record)
             add(record)

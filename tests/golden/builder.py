@@ -164,10 +164,12 @@ def summarize_storm_timeseries(trace: WorkloadTrace) -> dict:
     return document
 
 
-#: Fixture name of the uncontrolled fan-out/fan-in workflow golden.  Workflow
-#: replay always runs the generator loop behind the feedback request source,
-#: so this pins that loop's per-execution timing, critical-path
-#: decomposition and per-workflow aggregates at full float precision.
+#: Fixture name of the uncontrolled fan-out/fan-in workflow golden.  The
+#: feedback request source pulls its records from ``WorkloadEngine.stream``,
+#: which runs an uncontrolled replay on the columnar loop, so this pins that
+#: loop's per-execution timing, critical-path decomposition and per-workflow
+#: aggregates at full float precision; ``tests/test_golden_traces.py``
+#: replays it on the generator loop against the same fixture.
 WORKFLOW_NAME = "workflow"
 WORKFLOW_FAN_OUT = 8
 

@@ -5,7 +5,7 @@ The differential tier behind the columnar hot path (see
 twice on identically-seeded platforms — once through the batch entry point
 (``WorkloadEngine.run``, which runs the columnar engine whenever
 ``WorkloadEngine.replay`` allows), once through the generator loop
-(``WorkloadEngine.stream`` folded by ``generator_loop.generator_run``) —
+(``WorkloadEngine._run`` folded by ``generator_loop.generator_run``) —
 and every observable output is compared with ``==`` (which for floats is
 bit equality, no tolerances):
 
@@ -47,7 +47,7 @@ from repro.workload import (
     PoissonArrivals,
     WorkloadTrace,
 )
-from repro.workload.engine import WorkloadEngine
+from repro.workload.engine import WorkloadEngine, _record_builder
 
 from generator_loop import generator_run
 
@@ -359,16 +359,18 @@ class TestSharded:
 
 
 class TestSingleFastPath:
-    """Uncontrolled batch replays never enter the generator loop."""
+    """Uncontrolled replays never enter the generator loop: batch, streamed,
+    observed and workflow replays alike."""
+
+    @staticmethod
+    def _forbidden(engine, *args):
+        raise AssertionError("uncontrolled replay entered the generator loop")
 
     @pytest.fixture(autouse=True)
     def _forbid_generator_loop(self, monkeypatch):
-        def forbidden(self, *args):
-            raise AssertionError("batch replay entered the generator loop")
-
-        # The loop itself: stream() wraps it, and a streaming controlled
-        # replay runs it directly.
-        monkeypatch.setattr(WorkloadEngine, "_run", forbidden)
+        # The loop itself: stream() picks it for controlled replays, and a
+        # streaming controlled replay runs it directly.
+        monkeypatch.setattr(WorkloadEngine, "_run", self._forbidden)
 
     @pytest.mark.parametrize("keep_records", (True, False))
     def test_serial_run_workload(self, keep_records):
@@ -398,3 +400,63 @@ class TestSingleFastPath:
         platform = create_platform(Provider.AWS, SimulationConfig(seed=2026))
         replay = replay_population(platform, population, workers=2, backend="sequential")
         assert replay.invocations > 0
+
+    def test_invoke_stream(self):
+        platform, fnames = _build_platform(Provider.AWS, 2026)
+        trace = _mixed_trace(fnames)
+        assert len(list(platform.invoke_stream(trace))) == len(trace)
+
+    def test_observed_run_workload(self):
+        platform, fnames = _build_platform(Provider.AWS, 2026)
+        observer = _RecordingObserver()
+        result = platform.run_workload(_mixed_trace(fnames), observer=observer)
+        assert len(result.records) == result.invocations > 0
+        assert sum(event[0] == "invocation" for event in observer.events) == result.invocations
+
+    def test_serial_run_workflows(self):
+        from repro.workflows import standard_workflow, synthesize_workflow_arrivals
+
+        spec, functions = standard_workflow("fanout", fan_out=3)
+        platform = create_platform(Provider.AWS, SimulationConfig(seed=2026))
+        for function in functions:
+            deploy_benchmark(
+                platform, function.benchmark, memory_mb=function.memory_mb,
+                function_name=function.function_name,
+            )
+        arrivals = synthesize_workflow_arrivals(spec, PoissonArrivals(1.0), duration_s=20.0, rng=3)
+        result = platform.run_workflows(arrivals)
+        assert len(result.executions) == len(arrivals) > 0
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_closed_invoke_stream_matches_generator_loop(provider, monkeypatch):
+    """Closing an uncontrolled ``invoke_stream`` after ``k`` records (on the
+    columnar loop) leaves no sandbox reserved, and the provider log, the
+    clock and the records equal the generator loop's after the same ``k``
+    requests."""
+    from repro.faas.platform import LogQueryType
+
+    k = 57
+    observed = []
+    for reference in (True, False):
+        platform, fnames = _build_platform(provider, 2026)
+        trace = _mixed_trace(fnames)
+        if reference:
+            out = []
+            stream = WorkloadEngine(platform)._run(
+                trace, None, _record_builder(platform, out.append), out
+            )
+        else:
+            monkeypatch.setattr(WorkloadEngine, "_run", TestSingleFastPath._forbidden)
+            stream = platform.invoke_stream(trace)
+        records = [_record_key(next(stream)) for _ in range(k)]
+        stream.close()
+        for fname in fnames:
+            pool = platform._state[fname].pool
+            assert [pool.in_use_count(c.container_id) for c in pool] == [0] * len(pool)
+        logs = [
+            platform.query_logs(fname, query) for fname in fnames for query in LogQueryType
+        ]
+        observed.append((records, logs, _logs_key(platform, fnames), platform.clock.now()))
+    assert observed[0] == observed[1]
+    assert sum(map(len, observed[0][2])) == k

@@ -152,6 +152,21 @@ def test_golden_workflow_summary_has_not_drifted():
         assert summary["summaries"]["fanout"]["executions"] == actual["executions"]
 
 
+def test_golden_workflow_generator_loop_matches_fixture(monkeypatch):
+    """An uncontrolled workflow replay runs on the columnar loop; forced
+    onto the generator loop it must match the same fixture."""
+    from repro.workload.engine import WorkloadEngine
+
+    monkeypatch.setattr(WorkloadEngine, "_generator_loop", True)
+    actual = builder.summarize_workflow(builder.workflow_arrivals())
+    expected = json.loads(
+        builder.expected_path(builder.WORKFLOW_NAME).read_text(encoding="utf-8")
+    )
+    assert actual == expected, (
+        "generator-loop replay of the workflow golden diverged from the fixture"
+    )
+
+
 #: Every counter a replay reports, plus the float totals and the span.
 _RESULT_AGGREGATES = (
     "invocations",
