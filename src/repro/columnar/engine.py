@@ -141,12 +141,13 @@ class _Lane:
     )
 
 
-def _build_lane(platform, fname: str) -> _Lane:
-    """Resolve one function into a lane.
+def _build_lane(platform, fname: str, lane: _Lane | None = None) -> _Lane:
+    """Resolve one function into a lane, or recompile ``lane`` in place.
 
     The columnar loop builds one per function per replay, at the function's
-    first appearance; the generator loop builds one per runtime state and
-    caches it there (``state.lane``).
+    first appearance, and recompiles it in place when the function changes
+    mid-stream; the generator loop builds one per runtime state and caches
+    it there (``state.lane``).
 
     The constants come from the function's compiled class (see
     :class:`~repro.simulator.platform_sim.FunctionClass`), which the
@@ -160,7 +161,16 @@ def _build_lane(platform, fname: str) -> _Lane:
         state = platform._runtime_state(fname)
     klass = platform._class_of(function, state)
 
-    lane = _Lane()
+    if lane is None:
+        # A lane recompiled in place keeps its replay state.
+        lane = _Lane()
+        lane.in_flight = 0
+        lane.log = []
+        lane.slot = -1
+        lane.n_cold = 0
+        lane.n_fail = 0
+        lane.cost_buf = []
+        lane.client_buf = []
     for name, value in zip(
         _CLASS_SLOTS, itertools.chain(klass.compute, klass.reliability, klass.billing, klass.overhead)
     ):
@@ -180,7 +190,6 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.sp_p = platform._spurious_probability
 
     lane.pool = state.pool
-    lane.in_flight = 0
 
     # Compute stream: the heterogeneous scalar stream (see module docstring).
     compute = state.compute
@@ -202,13 +211,6 @@ def _build_lane(platform, fname: str) -> _Lane:
     # The lane holds no reference to its state or platform, so a state that
     # caches its lane (the generator loop's) forms no reference cycle.
     lane.history = state.history
-    lane.log = []
-
-    lane.slot = -1
-    lane.n_cold = 0
-    lane.n_fail = 0
-    lane.cost_buf = []
-    lane.client_buf = []
     return lane
 
 
@@ -283,6 +285,7 @@ def _replay(
     engine.last_peak_in_flight = 0
 
     fold_mode = accumulator is not None
+    epoch = platform._class_epoch
 
     try:
         for request in requests:
@@ -302,8 +305,10 @@ def _replay(
                 done_lane.pool.release(done[3])
                 done_lane.in_flight -= 1
 
-            # Monotone by the sort check above: a plain store matches
-            # VirtualClock.advance_to without the backwards-motion branch.
+            # VirtualClock.advance_to, inlined: a direct invoke() between two
+            # yielded rows may have moved the clock past this arrival.
+            if now < clock._now:
+                clock.advance_to(now)
             clock._now = now
 
             fname = request.function_name
@@ -381,6 +386,11 @@ def _replay(
             # ---- sink ----------------------------------------------------
             if not fold_mode:
                 yield lane.meta, request_index, now, cold, container_id, values
+                if platform._class_epoch != epoch:
+                    # A function was updated between two rows.
+                    epoch = platform._class_epoch
+                    for stale in lanes.values():
+                        _build_lane(platform, stale.fname, stale)
             else:
                 if accumulator.first_submitted is None:
                     accumulator.first_submitted = now

@@ -276,6 +276,8 @@ class SimulatedPlatform(FaaSPlatform):
         self._state: dict[str, _FunctionRuntimeState] = {}
         #: Compiled constants per function class (see :meth:`_class_of`).
         self._classes: dict[tuple, FunctionClass] = {}
+        #: Bumped when a function's class or version changes (see columnar _replay).
+        self._class_epoch = 0
         #: Optional :class:`repro.observe.events.ReplayObserver`: the one
         #: attachment point, set by the engines for the duration of a replay
         #: and read by both replay loops (container lifecycle, crash and
@@ -486,6 +488,7 @@ class SimulatedPlatform(FaaSPlatform):
         state = self._runtime_state(fname)
         state.pool.evict_all()
         state.klass = state.lane = None
+        self._class_epoch += 1
         return function
 
     def delete_function(self, fname: str) -> None:
@@ -509,6 +512,7 @@ class SimulatedPlatform(FaaSPlatform):
         state = self._runtime_state(fname)
         state.input_size = size
         state.klass = state.lane = None
+        self._class_epoch += 1
 
     def warm_container_count(self, fname: str) -> int:
         """Number of currently warm sandboxes (after applying eviction)."""

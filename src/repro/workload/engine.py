@@ -852,8 +852,9 @@ class WorkloadEngine:
     ) -> Iterator[InvocationRecord]:
         """Replay ``requests`` lazily, yielding one record per request.
 
-        Behind ``invoke_stream``, the workflow engine's feedback source and
-        every record-keeping or observed :meth:`replay`.  A controlled or
+        Behind ``invoke_stream``, the workflow engine's feedback source,
+        observed replays and record-keeping generator-loop replays
+        (:meth:`replay`).  A controlled or
         kernel replay runs on the generator loop (:meth:`_run`), every
         other one on the columnar loop, whose rows become records as they
         come; both yield the same records.  Requests must arrive in
@@ -864,7 +865,10 @@ class WorkloadEngine:
         clock is advanced to the last completion, so a subsequent
         ``warm_container_count`` or ``invoke`` sees the post-workload state.
         On the columnar loop the provider log (``query_logs``) receives the
-        stream's entries when the stream ends or is closed.
+        stream's entries when the stream ends or is closed.  A direct
+        ``invoke`` between two records that moves the clock past the next
+        arrival fails that arrival with
+        :class:`~repro.exceptions.ConfigurationError`, on either loop.
 
         ``positions`` overrides the default ``0, 1, 2, ...`` numbering of
         requests (one index per request, in consumption order); each record

@@ -27,12 +27,14 @@ through the draw-block shims.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarks.base import InputSize
 from repro.concurrency import OverloadConfig
 from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, TriggerType
 from repro.experiments.base import deploy_benchmark
@@ -460,3 +462,79 @@ def test_closed_invoke_stream_matches_generator_loop(provider, monkeypatch):
         observed.append((records, logs, _logs_key(platform, fnames), platform.clock.now()))
     assert observed[0] == observed[1]
     assert sum(map(len, observed[0][2])) == k
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_stream_sees_function_updates_between_records(provider):
+    """Updating a function's configuration or input size between two
+    records of an uncontrolled stream takes effect from its next request,
+    as on the generator loop: records, provider log and clock agree."""
+    k = 40
+    observed = []
+    for reference in (True, False):
+        platform, fnames = _build_platform(provider, 2026)
+        trace = _mixed_trace(fnames)
+        if reference:
+            out = []
+            stream = WorkloadEngine(platform)._run(trace, None, _record_builder(platform, out.append), out)
+        else:
+            stream = platform.invoke_stream(trace)
+        records = [_record_key(next(stream)) for _ in range(k)]
+        config = platform.get_function(fnames[0]).config
+        platform.update_function(fnames[0], config=dataclasses.replace(config, timeout_s=0.05))
+        records += [_record_key(next(stream)) for _ in range(k)]
+        platform.set_input_size(fnames[1], InputSize.LARGE)
+        records += [_record_key(record) for record in stream]
+        observed.append((records, _logs_key(platform, fnames), platform.clock.now()))
+    assert observed[0] == observed[1]
+
+
+def test_interleaved_streams_match_generator_loop():
+    """Two uncontrolled streams of one function consumed in turn each count
+    only their own executions in flight, as the generator loop does.  The clock and the provider log's entries agree
+    too; the columnar loop logs each stream's entries when it ends."""
+    from repro.faas.platform import LogQueryType
+    from repro.faas.invocation import InvocationRequest
+
+    observed = []
+    for reference in (True, False):
+        platform, (fname, _) = _build_platform(Provider.AWS, 2026)
+        requests = [InvocationRequest(fname, submitted_at=1.0 * i) for i in range(40)]
+        if reference:
+            engine = WorkloadEngine(platform)
+            streams = []
+            for _ in range(2):
+                out = []
+                streams.append(engine._run(requests, None, _record_builder(platform, out.append), out))
+        else:
+            streams = [platform.invoke_stream(requests) for _ in range(2)]
+        records = [_record_key(next(stream)) for _ in requests for stream in streams]
+        for stream in streams:
+            assert next(stream, None) is None
+        logs = [sorted(platform.query_logs(fname, query)) for query in LogQueryType]
+        observed.append((records, logs, platform.clock.now()))
+    assert observed[0] == observed[1]
+
+
+@pytest.mark.parametrize("loop", ("columnar", "generator"))
+def test_invoke_between_stream_records_cannot_rewind_the_clock(loop):
+    """A direct ``invoke`` between two records of a lazy stream that moves
+    the clock past the next arrival fails that arrival, on both loops, and
+    leaves no sandbox reserved."""
+    from repro.exceptions import ConfigurationError
+    from repro.faas.invocation import InvocationRequest
+
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=1))
+    fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
+    requests = [InvocationRequest(fname, submitted_at=0.001 * i) for i in range(3)]
+    if loop == "columnar":
+        stream = platform.invoke_stream(requests)
+    else:
+        out = []
+        stream = WorkloadEngine(platform)._run(requests, None, _record_builder(platform, out.append), out)
+    next(stream)
+    platform.invoke(fname, payload={})
+    with pytest.raises(ConfigurationError, match="backwards"):
+        next(stream)
+    pool = platform._state[fname].pool
+    assert [pool.in_use_count(c.container_id) for c in pool] == [0] * len(pool)

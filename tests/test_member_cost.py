@@ -49,6 +49,8 @@ from repro.storage.latency import StorageLatencyModel, StorageProfile
 from repro.workload import PoissonArrivals, WorkloadTrace
 from repro.workload.engine import FunctionWorkloadSummary, _ReplayAccumulator
 
+from generator_loop import generator_run
+
 CAPACITY = DEFAULT_RESERVOIR_CAPACITY
 
 
@@ -274,7 +276,7 @@ def test_class_change_between_replays_is_never_stale(provider, memory, change):
 
         def replay():
             if loop == "generator":
-                return sorted(platform.invoke_stream(trace), key=lambda r: r.request_index)
+                return generator_run(platform, trace).records
             return platform.run_workload(trace).records
 
         outputs = [replay()]

@@ -17,6 +17,8 @@ from repro.faas.platform import LogQueryType
 from repro.simulator.iaas import IaaSPlatform
 from repro.simulator.providers import AWSLambdaSimulator, AzureFunctionsSimulator, GoogleCloudFunctionsSimulator, create_platform
 
+from generator_loop import generator_run
+
 
 class TestDeployment:
     def test_package_code_reports_benchmark_size(self, aws):
@@ -414,7 +416,7 @@ def test_unencodable_payload_reserves_no_sandbox(loop):
         if loop == "columnar":
             platform.run_workload(requests)
         else:
-            list(platform.invoke_stream(requests))
+            generator_run(platform, requests)
     assert platform._state[fname].pool._in_use == {}
 
 
