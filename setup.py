@@ -1,10 +1,29 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Package metadata for ``pip install -e .``.
 
-All project metadata lives in ``pyproject.toml``; this file only enables the
-legacy editable-install path (``pip install -e . --no-use-pep517``) on
-machines where PEP 517 builds are unavailable offline.
+The project has no ``pyproject.toml``: this file holds all of its packaging
+metadata.  The supported way to run the code stays ``PYTHONPATH=src``; an
+editable install is the alternative for machines that prefer one::
+
+    pip install -e .
+
+Offline, pip needs ``setuptools`` and ``wheel`` already installed and no
+build isolation (``--no-deps --no-build-isolation``); where ``wheel`` is
+missing, ``python setup.py develop --no-deps`` installs the same way.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(encoding="utf-8"), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

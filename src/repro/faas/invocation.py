@@ -29,9 +29,12 @@ def payload_wire_bytes(payload: Mapping[str, Any]) -> int:
     return len(json.dumps(payload, default=str).encode("utf-8"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvocationRequest:
     """A single invocation of a deployed function.
+
+    ``payload`` is a read-only mapping: the requests of one trace may share
+    a single payload object (:meth:`WorkloadTrace.synthesize` builds one).
 
     ``payload_bytes`` overrides the measured request size exactly like the
     same-named parameter of :meth:`~repro.faas.platform.FaaSPlatform.invoke`:

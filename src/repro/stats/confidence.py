@@ -5,6 +5,9 @@ intervals, following Le Boudec and Hoefler & Belli.  The interval for the
 median of ``n`` i.i.d. samples is obtained from the order statistics: the
 interval ``[x_(j), x_(k)]`` covers the median with probability derived from
 the binomial distribution with p = 0.5.
+
+SciPy loads on first use, in :func:`_median_ci_indices`: no replay computes
+an interval, so importing ``repro`` costs no SciPy start-up.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..exceptions import ConfigurationError
 
@@ -65,6 +67,8 @@ def _median_ci_indices(n: int, level: float) -> tuple[int, int]:
     1-based statistics notation has coverage ``P(j <= B < k)``.  We search for
     the symmetric pair with at least the requested coverage.
     """
+    from scipy import stats as scipy_stats
+
     if n < 1:
         raise ConfigurationError("confidence interval requires at least one sample")
     # Symmetric interval around the median rank.

@@ -101,14 +101,15 @@ class WorkloadTrace:
         payload_bytes: int | None = None,
         trigger: TriggerType = TriggerType.HTTP,
     ) -> "WorkloadTrace":
-        """Generate a single-function trace from an arrival process."""
+        """Generate a single-function trace; its requests share one ``payload`` copy."""
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(int(rng))
         offsets = process.generate(duration_s, rng)
+        shared_payload = dict(payload or {})
         return cls(
             InvocationRequest(
                 function_name=function_name,
-                payload=dict(payload or {}),
+                payload=shared_payload,
                 payload_bytes=payload_bytes,
                 trigger=trigger,
                 submitted_at=float(offset),
