@@ -66,17 +66,12 @@ from ..simulator.containers import Container
 from ..simulator.platform_sim import CompiledOverhead, SimulatedPlatform, _LogEntry
 from ..simulator.reliability import CompiledReliability
 from ..simulator.step import invoke_step, upload_time
-from ..workload.engine import _ReplayAccumulator
+from ..workload.engine import _FOLD_BATCH, _ReplayAccumulator
 from .records import ColumnarRecordBlock, LaneMeta, records_of
 
 _HTTP = TriggerType.HTTP
 _COLD = StartType.COLD
 _WARM = StartType.WARM
-
-#: Streaming-fold flush threshold: client-time / cost buffers fold into the
-#: accumulator row in batches of this size (element order inside a
-#: batch is preserved, so the fold is bit-identical to per-record adds).
-_FOLD_BATCH = 8192
 
 #: Provider-log buffers are trimmed to the retention bound whenever they
 #: grow past twice of it, keeping memory O(retention) without trimming on

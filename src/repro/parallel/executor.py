@@ -14,10 +14,13 @@ runs the shards and merges them.  Two backends run the shards produced by
   serial :meth:`~repro.simulator.platform_sim.SimulatedPlatform.run_workload`.
 * **process** — shards run on a ``multiprocessing`` pool (``fork`` start
   method where available, ``spawn`` otherwise), at most ``workers``
-  concurrently.  Because a shard's result is a pure function of the
-  snapshot and the shard — no shared state, no cross-shard draws — the
-  process backend produces byte-identical merged results to the sequential
-  one, just faster.
+  concurrently.  A plan may hold more shards than workers (population
+  plans always do): shards stream through the pool as earlier ones
+  complete, and each worker process receives the replay's constants once
+  (:func:`~repro.parallel.supervisor.worker_pool`).  Because a shard's
+  result is a pure function of the snapshot and the shard — no shared
+  state, no cross-shard draws — the process backend produces
+  byte-identical merged results to the sequential one, just faster.
 
 Merged-result semantics (see :mod:`repro.parallel.merge` for the details):
 record-mode merges are bit-identical to serial replay; streaming-mode
@@ -47,7 +50,7 @@ import functools
 import multiprocessing
 import operator
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -70,7 +73,7 @@ from .merge import (
 )
 from .plan import ScenarioShard, ShardPlanner, TraceShard, WorkflowShard
 from .snapshot import PlatformSnapshot
-from .supervisor import ShardSupervisor, SupervisorConfig
+from .supervisor import ShardSupervisor, SupervisorConfig, run_installed, ship, worker_pool
 
 #: Backend names accepted by the ``backend`` parameters.
 BACKENDS = ("sequential", "process")
@@ -192,6 +195,7 @@ def _execute(
     backend: str,
     supervision: SupervisorConfig | None = None,
     on_complete: Callable[[object], None] | None = None,
+    shared: tuple = (),
 ):
     """Run ``worker(snapshot, shard, keep_records)`` for every shard.
 
@@ -202,10 +206,21 @@ def _execute(
     (timeouts, retries, pool rebuild, quarantine); without it, failures
     **fail fast**: the first shard exception cancels every still-pending
     shard instead of letting doomed work run to completion.
+
+    The process backend hands ``worker``, ``snapshot`` and the ``shared``
+    objects (those every shard refers to) to each worker process once
+    (:func:`~repro.parallel.supervisor.worker_pool`); a task carries one
+    shard, without them.
     """
     if supervision is not None:
         supervisor = ShardSupervisor(
-            worker, snapshot, keep_records, workers, supervision, on_complete=on_complete
+            worker,
+            snapshot,
+            keep_records,
+            workers,
+            supervision,
+            on_complete=on_complete,
+            shared=shared,
         )
         if backend == "sequential" or len(shards) <= 1:
             outcomes = supervisor.execute_sequential(shards)
@@ -221,7 +236,7 @@ def _execute(
             outcomes.append(outcome)
         return outcomes, None
     max_workers = min(workers, len(shards))
-    with ProcessPoolExecutor(max_workers=max_workers, mp_context=_mp_context()) as pool:
+    with worker_pool(max_workers, _mp_context(), worker, snapshot, shared) as pool:
         # Shards are handed to the pool as earlier ones complete, never more
         # than one beyond the worker count: the pool moves whatever it holds
         # into its call queue on its own schedule, where a shard can no
@@ -233,7 +248,7 @@ def _execute(
         def submit_next() -> None:
             shard = next(pending, None)
             if shard is not None:
-                running[pool.submit(worker, snapshot, shard, keep_records)] = shard
+                running[pool.submit(run_installed, ship(shard, shared), keep_records)] = shard
 
         for _ in range(max_workers + 1):
             submit_next()
@@ -286,6 +301,7 @@ def _run_sharded(
     resume: bool = False,
     timeseries=None,
     profile: bool = False,
+    shared: tuple = (),
 ):
     """The one sharded-replay driver: plan, run the shards, merge.
 
@@ -296,7 +312,8 @@ def _run_sharded(
     everything around them: the argument checks, the platform snapshot,
     checkpoint preloading and persistence, shard execution (supervised or
     fail-fast), the time-series fold, and the ``plan`` / ``shards`` /
-    ``merge`` profile.
+    ``merge`` profile.  ``shared`` names the objects every shard refers to,
+    which worker processes then receive once instead of with every shard.
     """
     try:
         workers = operator.index(workers)
@@ -330,6 +347,7 @@ def _run_sharded(
             backend,
             supervision=supervision,
             on_complete=store.store if store is not None else None,
+            shared=shared,
         )
     outcomes = list(outcomes) + list(preloaded.values())
     with profiler.phase("merge"):

@@ -17,6 +17,13 @@ while partitioning), estimated from
 scenario traffic, and ``arrivals × stages`` for workflow components.  Tie
 breaks are deterministic (unit name, then shard index), so the same input
 always yields the same plan.
+
+Populations are the exception: their workers deploy every member they
+replay, so memory, not the worker count, sets the shard size.
+:meth:`ShardPlanner.plan_population` over-decomposes — at least
+:data:`SHARDS_PER_WORKER` shards per worker, none above
+:data:`MEMBER_BUDGET` members — and the executor streams the shards
+through the pool, one shard per worker at a time.
 """
 
 from __future__ import annotations
@@ -89,10 +96,12 @@ class PopulationShard:
     """A population partition: the worker deploys and drives its members.
 
     The parent never materialises a request, a recipe or even a function
-    name: the shard ships the (small, picklable) population object plus the
-    member indices, and the worker derives everything else from
-    ``(population, seed, index)`` — deployment recipes, arrival streams,
-    the merged request stream (see :mod:`repro.population.replay`).
+    name: the shard carries the population object plus the member indices,
+    and the worker derives everything else from ``(population, seed,
+    index)`` — deployment recipes, arrival streams, the merged request
+    stream (see :mod:`repro.population.replay`).  Every shard of a plan
+    refers to the same population object, which the process backend ships
+    once per worker process rather than once per shard.
 
     ``functions`` is a short provenance *label*, not the member list — a
     million function names would bloat every supervisor error message and
@@ -107,6 +116,15 @@ class PopulationShard:
     population: object
     #: Member indices owned by this shard, sorted ascending.
     member_indices: np.ndarray
+
+
+#: Population shards cut per worker: more shards than workers keep the pool
+#: busy while shards of uneven cost stream through it.
+SHARDS_PER_WORKER = 8
+
+#: Most members one population shard holds.  A worker holds one shard's
+#: members at a time, so this bounds its memory at any population size.
+MEMBER_BUDGET = 16_384
 
 
 def _pack(weights: Mapping[str, float], workers: int) -> list[list[str]]:
@@ -201,45 +219,52 @@ class ShardPlanner:
         return shards
 
     def plan_population(self, population, seed: int, workers: int) -> list[PopulationShard]:
-        """Partition a population's members into at most ``workers`` shards.
+        """Partition a population of ``n`` members into member-budgeted shards.
 
         Same LPT greedy as :func:`_pack`, but vectorized for million-member
-        populations: weights are the population's expected per-function
+        populations and over-decomposed: more shards than ``workers``, each
+        of at most :data:`MEMBER_BUDGET` members, so the executor streams
+        them through the worker pool and a worker holds one shard's members
+        at a time.  Weights are the population's expected per-function
         invocation counts (exact for ingested traces, Zipf means for
         synthetic populations), processed heaviest-first with ascending
-        member index as the deterministic tie-break.  Shards own
-        function-disjoint member sets, so the bit-identity argument of the
-        module docstring applies unchanged.
+        member index as the deterministic tie-break; each member lands in
+        the non-full shard with the least load, then the fewest members,
+        then the lowest index.  Every shard receives a member, so a plan
+        has exactly ``min(n, max(SHARDS_PER_WORKER * workers,
+        ceil(n / MEMBER_BUDGET)))`` shards.  Shards own function-disjoint
+        member sets, so the bit-identity argument of the module docstring
+        applies unchanged.
         """
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
         weights = np.asarray(population.expected_counts(), dtype=float)
         n = int(weights.shape[0])
-        buckets = min(workers, max(1, n))
-        order = np.argsort(-weights, kind="stable")
+        budget = MEMBER_BUDGET
+        buckets = min(n, max(SHARDS_PER_WORKER * workers, -(-n // budget)))
         assignment = np.empty(n, dtype=np.int64)
-        load: list[tuple[float, int]] = [(0.0, bucket) for bucket in range(buckets)]
+        load: list[tuple[float, int, int]] = [(0.0, 0, bucket) for bucket in range(buckets)]
         heapq.heapify(load)
-        for member in order:
-            total, bucket = heapq.heappop(load)
+        weight_of = weights.tolist()
+        for member in np.argsort(-weights, kind="stable").tolist():
+            total, members, bucket = heapq.heappop(load)
             assignment[member] = bucket
-            heapq.heappush(load, (total + float(weights[member]), bucket))
-        shards = []
-        for bucket in range(buckets):
-            members = np.flatnonzero(assignment == bucket)
-            if members.size == 0:
-                continue
-            shards.append(
-                PopulationShard(
-                    index=len(shards),
-                    functions=(f"{population.name}[{members.size} functions]",),
-                    weight=float(weights[members].sum()),
-                    seed=int(seed),
-                    population=population,
-                    member_indices=members,
-                )
+            if members + 1 < budget:  # a full shard leaves the heap
+                heapq.heappush(load, (total + weight_of[member], members + 1, bucket))
+        # Stable sort by shard: each shard's members in ascending index order.
+        by_shard = np.argsort(assignment, kind="stable")
+        bounds = np.cumsum(np.bincount(assignment, minlength=buckets))
+        return [
+            PopulationShard(
+                index=bucket,
+                functions=(f"{population.name}[{members.size} functions]",),
+                weight=float(weights[members].sum()),
+                seed=int(seed),
+                population=population,
+                member_indices=members,
             )
-        return shards
+            for bucket, members in enumerate(np.split(by_shard, bounds[:-1]))
+        ]
 
     def plan_workflows(
         self, arrivals: Sequence[WorkflowArrival], workers: int

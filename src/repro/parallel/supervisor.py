@@ -48,9 +48,11 @@ injection applies there.
 
 from __future__ import annotations
 
+import io
 import logging
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -192,10 +194,61 @@ class SupervisionReport:
         }
 
 
+#: The replay constants the pool initializer installed in this worker
+#: process: ``(worker, snapshot, shared)`` (see :func:`worker_pool`).
+_installed: tuple | None = None
+
+
+def _install(worker, snapshot, shared: tuple) -> None:
+    global _installed
+    _installed = (worker, snapshot, shared)
+
+
+def worker_pool(max_workers: int, context, worker, snapshot, shared: tuple = ()):
+    """A process pool whose workers receive ``worker``, ``snapshot`` and ``shared`` once.
+
+    Tasks then carry only a shard (see :func:`ship`) and run through
+    :func:`run_installed`, so what every shard of a replay shares crosses
+    the process boundary once per worker process, not once per shard.
+    """
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=context,
+        initializer=_install,
+        initargs=(worker, snapshot, shared),
+    )
+
+
+def ship(shard, shared: tuple):
+    """``shard`` as a task argument of a :func:`worker_pool` pool.
+
+    Without ``shared`` objects that is the shard itself.  Otherwise it is
+    the shard pickled with each ``shared`` object replaced by its position,
+    which :func:`run_installed` resolves to the worker's installed copy.
+    """
+    if not shared:
+        return shard
+    positions = {id(obj): position for position, obj in enumerate(shared)}
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda obj: positions.get(id(obj))
+    pickler.dump(shard)
+    return buffer.getvalue()
+
+
+def run_installed(task, keep_records: bool):
+    """Worker side of :func:`ship`: replay the shipped shard on the installed worker."""
+    worker, snapshot, shared = _installed
+    if type(task) is bytes:
+        unpickler = pickle.Unpickler(io.BytesIO(task))
+        unpickler.persistent_load = shared.__getitem__
+        task = unpickler.load()
+    return worker(snapshot, task, keep_records)
+
+
 def _supervised_entry(
-    worker,
-    snapshot,
-    shard,
+    shard_index: int,
+    task,
     keep_records: bool,
     attempt: int,
     beats,
@@ -208,9 +261,9 @@ def _supervised_entry(
     the supervisor can always tell "started then died" from "never
     started" when it assigns attempt blame after a pool break.
     """
-    beats[shard.index] = (os.getpid(), time.monotonic(), attempt)
+    beats[shard_index] = (os.getpid(), time.monotonic(), attempt)
     if injection is not None:
-        fault = injection.fault_for(shard.index, attempt)
+        fault = injection.fault_for(shard_index, attempt)
         if fault is not None:
             if fault.mode == "crash":
                 os._exit(_CRASH_EXIT_STATUS)
@@ -220,18 +273,18 @@ def _supervised_entry(
                 time.sleep(fault.hang_s)
             if fault.mode == "flaky":
                 raise InjectedWorkerFault(
-                    f"injected flaky failure on shard {shard.index} attempt {attempt}"
+                    f"injected flaky failure on shard {shard_index} attempt {attempt}"
                 )
     stop = threading.Event()
 
     def _beat():
         while not stop.wait(heartbeat_interval_s):
-            beats[shard.index] = (os.getpid(), time.monotonic(), attempt)
+            beats[shard_index] = (os.getpid(), time.monotonic(), attempt)
 
     beater = threading.Thread(target=_beat, daemon=True)
     beater.start()
     try:
-        return worker(snapshot, shard, keep_records)
+        return run_installed(task, keep_records)
     finally:
         stop.set()
         beater.join(timeout=heartbeat_interval_s * 2)
@@ -248,9 +301,11 @@ class ShardSupervisor:
         workers: int,
         config: SupervisorConfig,
         on_complete: Callable[[object], None] | None = None,
+        shared: tuple = (),
     ):
         self._worker = worker
         self._snapshot = snapshot
+        self._shared = shared
         self._keep_records = keep_records
         self._workers = workers
         self._config = config
@@ -379,7 +434,9 @@ class ShardSupervisor:
             beats = manager.dict()
             while len(results) < len(shards):
                 if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+                    pool = worker_pool(
+                        max_workers, context, self._worker, self._snapshot, self._shared
+                    )
                     running: dict = {}
                 now = time.monotonic()
                 # Dispatch every shard whose backoff has elapsed.
@@ -392,9 +449,8 @@ class ShardSupervisor:
                     try:
                         future = pool.submit(
                             _supervised_entry,
-                            self._worker,
-                            self._snapshot,
-                            shard,
+                            shard.index,
+                            ship(shard, self._shared),
                             self._keep_records,
                             attempts[shard.index],
                             beats,

@@ -11,7 +11,9 @@ the scale path:
   rebuild recipe (class, simulation config, clock, constructor kwargs) —
   deployment happens inside each worker, for that worker's members only;
 * it plans member-disjoint shards
-  (:meth:`~repro.parallel.plan.ShardPlanner.plan_population`) and runs them
+  (:meth:`~repro.parallel.plan.ShardPlanner.plan_population`) — more
+  shards than workers, each of at most
+  :data:`~repro.parallel.plan.MEMBER_BUDGET` members — and streams them
   through the same sharded-replay driver as trace replay (sequential or
   process backend, optional supervision), merging the streaming
   accumulators exactly like a sharded trace replay;
@@ -23,7 +25,10 @@ the scale path:
 
 Parent-side memory is O(functions) only where it must be: the shard plan
 (one int per member) and the merged per-function accumulators.  No request
-is ever materialised outside a worker.
+is ever materialised outside a worker.  A worker deploys one shard's
+members at a time and drops its platform when the shard ends, so its peak
+memory follows the member budget, not the population size.  The population
+object reaches each worker process once, not once per shard.
 
 Cost attribution folds the merged per-function summaries onto the
 population's tenant assignment (:func:`tenant_attribution`), yielding the
@@ -341,6 +346,7 @@ def replay_population(
         backend=backend,
         supervision=supervision,
         profile=profile,
+        shared=(population,),
     )
     return PopulationReplayResult(
         result=result,

@@ -216,6 +216,13 @@ _NO_START = StartType.NONE
 #: The cost components of an outcome that billed nothing.
 _NO_COST = (0.0, 0.0, 0.0, 0.0)
 
+#: Streaming-fold flush threshold: the values buffered for an accumulator
+#: row (client times, and in the columnar loop costs) fold into it in
+#: batches of this size.  Element order inside a batch is preserved and
+#: ``StreamingSummary.add_many`` is bit-identical to per-value adds, so the
+#: batching is invisible in the folded state.
+_FOLD_BATCH = 8192
+
 
 def _counter_total(position: int) -> property:
     """A replay total: one integer counter summed over every row."""
@@ -238,7 +245,9 @@ class _ReplayAccumulator:
     to a :class:`~repro.stats.streaming.StreamingSummary` that ingests the
     list through ``add_many`` — the state that summary would have had if it
     had ingested every value on arrival.  Under function-disjoint sharding
-    no row ever merges, so shards ship plain columns.
+    no row ever merges, so shards ship plain columns.  :meth:`add` buffers
+    a promoted row's client times and folds them ``_FOLD_BATCH`` at a time;
+    every reader of the samples flushes the buffers first.
 
     The replay totals are reduced from the rows once at the end — only the
     span needs whole-replay tracking per record.  Float totals reduce in
@@ -256,6 +265,8 @@ class _ReplayAccumulator:
         self.cost: list[float] = []
         self.queue_delay: list[float] = []
         self.samples: list[list[float] | StreamingSummary] = []
+        #: Client times of promoted rows not yet folded, by slot.
+        self._unfolded: dict[int, list[float]] = {}
 
     def slot(self, function_name: str) -> int:
         """``function_name``'s row, appended empty on first use."""
@@ -270,22 +281,29 @@ class _ReplayAccumulator:
         return slot
 
     def _promote(self, slot: int) -> StreamingSummary:
-        """Row ``slot``'s sample as a :class:`StreamingSummary` (promoting a list)."""
+        """Row ``slot``'s sample as a :class:`StreamingSummary`, promoted and flushed."""
         sample = self.samples[slot]
         if type(sample) is list:
             summary = StreamingSummary(key=self.names[slot])
             summary.add_many(sample)
             self.samples[slot] = sample = summary
+        else:
+            unfolded = self._unfolded.pop(slot, None)
+            if unfolded is not None:
+                sample.add_many(unfolded)
         return sample
+
+    def _flush(self) -> None:
+        """Fold every buffered client time into its promoted row."""
+        for slot in list(self._unfolded):
+            self._promote(slot)
 
     def _add_client_times(self, slot: int, values: list[float]) -> None:
         sample = self.samples[slot]
-        if type(sample) is list:
-            if len(sample) + len(values) <= DEFAULT_RESERVOIR_CAPACITY:
-                sample.extend(values)
-                return
-            sample = self._promote(slot)
-        sample.add_many(values)
+        if type(sample) is list and len(sample) + len(values) <= DEFAULT_RESERVOIR_CAPACITY:
+            sample.extend(values)
+            return
+        self._promote(slot).add_many(values)
 
     def add(
         self, function_name: str, outcome: InvocationOutcome, success: bool,
@@ -346,7 +364,16 @@ class _ReplayAccumulator:
             row[_FAILURES] += 1
         self.cost[slot] += cost_total
         sample = self.samples[slot]
-        if type(sample) is list and len(sample) < DEFAULT_RESERVOIR_CAPACITY:
+        if type(sample) is not list:
+            unfolded = self._unfolded.get(slot)
+            if unfolded is None:
+                self._unfolded[slot] = [client_time_s]
+            else:
+                unfolded.append(client_time_s)
+                if len(unfolded) >= _FOLD_BATCH:
+                    del self._unfolded[slot]
+                    sample.add_many(unfolded)
+        elif len(sample) < DEFAULT_RESERVOIR_CAPACITY:
             sample.append(client_time_s)
         else:
             self._add_client_times(slot, [client_time_s])
@@ -392,6 +419,8 @@ class _ReplayAccumulator:
         function present on both sides adds its counters and float sums and
         merges its promoted samples with :meth:`StreamingSummary.merge`.
         """
+        self._flush()
+        other._flush()
         if other.first_submitted is not None and (
             self.first_submitted is None or other.first_submitted < self.first_submitted
         ):
@@ -434,6 +463,7 @@ class _ReplayAccumulator:
         objects keyed by slot; their list entry is empty.  Floats and
         integers round-trip exactly through float64/int64.
         """
+        self._flush()
         lists = [sample if type(sample) is list else () for sample in self.samples]
         offsets = np.cumsum([0, *map(len, lists)], dtype=np.int64)
         counts = np.array(self.counts, dtype=np.int64).reshape(-1, _N_COUNTERS)
@@ -460,6 +490,7 @@ class _ReplayAccumulator:
     def __setstate__(self, state: dict) -> None:
         self.first_submitted = state["first_submitted"]
         self.last_finished = state["last_finished"]
+        self._unfolded = {}
         self.names = names = state["names"]
         self.slots = dict(zip(names, range(len(names))))
         counts = np.zeros((len(names), _N_COUNTERS), dtype=np.int64)
@@ -512,6 +543,7 @@ class _ReplayAccumulator:
 
     def summaries(self) -> dict[str, FunctionWorkloadSummary]:
         """Per-function summaries, with every latency percentile query batched."""
+        self._flush()
         ordered = self._ordered()
         counts = self.counts
         executed = [slot for slot in ordered if counts[slot][_EXECUTED]]

@@ -168,14 +168,27 @@ class WorkloadTrace:
         if not isinstance(entries, list):
             raise ConfigurationError("trace JSON must contain a 'requests' list")
         requests = []
+        # Entries with equal payloads share one mapping, and entries of one
+        # function one name string, as a synthesized trace's requests do.
+        # The payload key is its repr, which tells 1, 1.0 and True apart
+        # where equality would not.
+        payloads: dict[str, dict[str, Any]] = {}
+        names: dict[str, str] = {}
         for entry in entries:
             if "function" not in entry:
                 raise ConfigurationError("every trace entry needs a 'function' name")
             raw_bytes = entry.get("payload_bytes")
+            name = str(entry["function"])
+            name = names.setdefault(name, name)
+            raw_payload = entry.get("payload", {})
+            key = repr(raw_payload)
+            payload = payloads.get(key)
+            if payload is None:
+                payload = payloads[key] = dict(raw_payload)
             requests.append(
                 InvocationRequest(
-                    function_name=str(entry["function"]),
-                    payload=dict(entry.get("payload", {})),
+                    function_name=name,
+                    payload=payload,
                     payload_bytes=None if raw_bytes is None else int(raw_bytes),
                     trigger=TriggerType(entry.get("trigger", TriggerType.HTTP.value)),
                     submitted_at=float(entry.get("submitted_at", 0.0)),

@@ -47,6 +47,7 @@ from repro.simulator.providers import create_platform
 from repro.stats.streaming import DEFAULT_RESERVOIR_CAPACITY, StreamingSummary
 from repro.storage.latency import StorageLatencyModel, StorageProfile
 from repro.workload import PoissonArrivals, WorkloadTrace
+from repro.workload import engine as engine_module
 from repro.workload.engine import FunctionWorkloadSummary, _ReplayAccumulator
 
 from generator_loop import generator_run
@@ -682,6 +683,35 @@ class TestPromotion:
         assert rows.samples[0].count == CAPACITY + 1
         _assert_same(rows, objects)
         _assert_same(pickle.loads(pickle.dumps(rows)), objects)
+
+    def test_batched_fold_of_promoted_rows_matches_per_value_fold(self, monkeypatch):
+        """:meth:`_ReplayAccumulator.add` buffers a promoted row's client
+        times; the folded state, the pickle and the summaries equal a fold
+        of every value on arrival, read between batches or at their edges."""
+        batch = 64
+        values = np.random.default_rng(11).lognormal(0.0, 1.0, CAPACITY + 5 * batch + 3)
+
+        def fold(fold_batch: int) -> list:
+            monkeypatch.setattr(engine_module, "_FOLD_BATCH", fold_batch)
+            rows, states = _ReplayAccumulator(), []
+            for index, value in enumerate(values.tolist()):
+                for fname in ("f0", "f1"):
+                    rows.add(
+                        fname, InvocationOutcome.COMPLETED, True, StartType.WARM,
+                        float(index), index + value, value, 0.25, 1, 0.0, 0,
+                    )
+                if index in (CAPACITY + 1, CAPACITY + batch, CAPACITY + 3 * batch + 7):
+                    states.append(pickle.dumps(rows))
+            merged = _ReplayAccumulator()
+            merged.merge(rows)
+            states.append(pickle.dumps(merged))
+            states.append(repr(rows.summaries()))
+            states.append([pickle.dumps(sample) for sample in rows.samples])
+            return states
+
+        per_value = fold(1)
+        assert fold(batch) == per_value
+        assert isinstance(pickle.loads(per_value[0]).samples[0], StreamingSummary)
 
     def test_disjoint_merge_promotes_nothing(self):
         left, right = _ReplayAccumulator(), _ReplayAccumulator()

@@ -17,12 +17,22 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import pickle
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, TriggerType
 from repro.exceptions import ConfigurationError
 from repro.parallel import PlatformSnapshot, ShardPlanner
+from repro.parallel import plan as plan_module
+from repro.parallel import supervisor as supervisor_module
+from repro.parallel.supervisor import run_installed, ship
 from repro.population import (
     SEBS_PROFILES,
     AppProfile,
@@ -169,25 +179,66 @@ class TestPopulationSpec:
 
 # ------------------------------------------------------------------ planner
 class TestPopulationPlanner:
-    def test_plan_partitions_members_disjointly_and_deterministically(self):
-        shards = ShardPlanner().plan_population(SMALL, seed=42, workers=4)
-        again = ShardPlanner().plan_population(SMALL, seed=42, workers=4)
-        assert len(shards) == 4
+    @staticmethod
+    def _assert_plan_contract(population, workers):
+        """Shards partition the members, each sorted, deterministic and in budget."""
+        n = population.n_functions
+        shards = ShardPlanner().plan_population(population, seed=42, workers=workers)
+        again = ShardPlanner().plan_population(population, seed=42, workers=workers)
+        budget = plan_module.MEMBER_BUDGET
+        assert len(shards) == min(
+            n, max(plan_module.SHARDS_PER_WORKER * workers, math.ceil(n / budget))
+        )
+        assert [shard.index for shard in shards] == list(range(len(shards)))
         seen = np.concatenate([shard.member_indices for shard in shards])
-        assert sorted(seen.tolist()) == list(range(SMALL.n_functions))
-        for shard, repeat in zip(shards, again):
+        assert sorted(seen.tolist()) == list(range(n))
+        for shard, repeat in zip(shards, again, strict=True):
             np.testing.assert_array_equal(shard.member_indices, repeat.member_indices)
             assert np.all(np.diff(shard.member_indices) > 0)  # sorted ascending
+            assert 1 <= shard.member_indices.size <= budget
             assert shard.weight == pytest.approx(
-                SMALL.expected_counts()[shard.member_indices].sum()
+                population.expected_counts()[shard.member_indices].sum()
             )
 
-    def test_plan_never_exceeds_workers_or_members(self):
-        assert len(ShardPlanner().plan_population(SMALL, seed=1, workers=1)) == 1
+    def test_plan_partitions_members_disjointly_and_deterministically(self):
+        self._assert_plan_contract(SMALL, workers=4)
+
+    def test_plan_never_exceeds_workers_or_members(self, monkeypatch):
         tiny = PopulationSpec(n_functions=3, duration_s=10.0, aggregate_rate_per_s=1.0)
         assert len(ShardPlanner().plan_population(tiny, seed=1, workers=8)) == 3
+        assert len(ShardPlanner().plan_population(SMALL, seed=1, workers=1)) == (
+            plan_module.SHARDS_PER_WORKER
+        )
+        # A budget below n / (SHARDS_PER_WORKER * workers) sets the count.
+        monkeypatch.setattr(plan_module, "MEMBER_BUDGET", 7)
+        self._assert_plan_contract(SMALL, workers=1)
+        assert len(ShardPlanner().plan_population(SMALL, seed=1, workers=1)) == 18
         with pytest.raises(ConfigurationError):
             ShardPlanner().plan_population(SMALL, seed=1, workers=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_functions=st.integers(min_value=1, max_value=400),
+        workers=st.integers(min_value=1, max_value=6),
+        budget=st.sampled_from((1, 3, 16, 100_000)),
+    )
+    def test_plan_contract_holds_for_any_size(self, n_functions, workers, budget):
+        population = PopulationSpec(
+            n_functions=n_functions, duration_s=60.0, aggregate_rate_per_s=5.0
+        )
+        with mock.patch.object(plan_module, "MEMBER_BUDGET", budget):
+            self._assert_plan_contract(population, workers)
+
+    @pytest.mark.parametrize("backend", ("sequential", "process"))
+    def test_many_small_shards_replay_bit_identically(self, backend, monkeypatch):
+        serial = replay_population(_platform(), SMALL, workers=1)
+        monkeypatch.setattr(plan_module, "MEMBER_BUDGET", 5)
+        assert len(ShardPlanner().plan_population(SMALL, seed=42, workers=2)) == 24
+        sharded = replay_population(_platform(), SMALL, workers=2, backend=backend)
+        _assert_streaming_equal(serial.result, sharded.result)
+        assert sharded.result.per_function() == serial.result.per_function()
+        assert sharded.top_tenants == serial.top_tenants
+        assert sharded.functions_active == serial.functions_active
 
 
 # ---------------------------------------------------------------- deployment
@@ -235,9 +286,26 @@ class TestPopulationReplay:
     def test_shard_worker_refuses_record_mode(self):
         platform = _platform()
         snapshot = PlatformSnapshot.capture(platform)
-        (shard,) = ShardPlanner().plan_population(SMALL, seed=42, workers=1)
+        shard = ShardPlanner().plan_population(SMALL, seed=42, workers=1)[0]
         with pytest.raises(ConfigurationError):
             _replay_population_shard(snapshot, shard, keep_records=True)
+
+    def test_process_tasks_ship_the_population_once(self, monkeypatch):
+        """A pool task carries its shard without the population, which the
+        worker resolves from the copy its pool initializer installed."""
+        fixture = TraceIngest.load(FIXTURE)
+        wide = dataclasses.replace(fixture, counts=np.tile(fixture.counts, (1, 48)))
+        snapshot = PlatformSnapshot.capture(_platform())
+        shard = ShardPlanner().plan_population(wide, seed=42, workers=1)[0]
+        task = pickle.dumps(ship(shard, (wide,)))
+        assert len(pickle.dumps(shard)) > len(pickle.dumps(wide)) > 100_000 > 50 * len(task)
+        monkeypatch.setattr(
+            supervisor_module, "_installed", (_replay_population_shard, snapshot, (wide,))
+        )
+        shipped = run_installed(pickle.loads(task), False)
+        direct = _replay_population_shard(snapshot, shard, False)
+        assert repr(shipped.sink.summaries()) == repr(direct.sink.summaries())
+        assert shipped.sink.invocations == direct.sink.invocations > 0
 
     def test_sharded_replay_is_bit_identical_to_serial(self):
         serial = replay_population(_platform(), SMALL, workers=1)

@@ -130,6 +130,23 @@ class TestWorkloadTrace:
         again = WorkloadTrace.from_json(trace.to_json())
         assert list(again) == list(trace)
 
+    def test_loaded_trace_shares_payloads_and_replays_identically(self):
+        """Equal payloads load as one mapping; 1 and True stay apart."""
+        one = WorkloadTrace.synthesize("f", PoissonArrivals(5.0), 20.0, rng=3, payload={"n": 1})
+        flag = WorkloadTrace.synthesize("f", PoissonArrivals(5.0), 20.0, rng=4, payload={"n": True})
+        for trace, distinct in ((one, 1), (WorkloadTrace.merge(one, flag).materialize(), 2)):
+            loaded = WorkloadTrace.from_json(trace.to_json())
+            assert list(loaded) == list(trace)
+            assert len({id(request.payload) for request in loaded}) == distinct
+            assert len({id(request.function_name) for request in loaded}) == 1
+            assert [type(r.payload["n"]) for r in loaded] == [type(r.payload["n"]) for r in trace]
+            replays = []
+            for requests in (trace, loaded):
+                platform = create_platform(Provider.AWS, SimulationConfig(seed=9))
+                deploy_benchmark(platform, "dynamic-html", memory_mb=256, function_name="f")
+                replays.append(platform.run_workload(requests).records)
+            assert replays[0] == replays[1]
+
     def test_from_json_validates_structure(self):
         with pytest.raises(ConfigurationError):
             WorkloadTrace.from_json(json.dumps({"version": 99, "requests": []}))
